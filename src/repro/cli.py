@@ -117,9 +117,9 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
 
   ``bench runtime`` measures per-element throughput of the execution
   backends — interpreted step, compiled scalar step, whole-batch
-  ``StepKernel``, and the fused-pipeline kernel (see
-  :mod:`repro.ir.compile`) — over ground-truth schemes; the CI perf smoke
-  gates on ``--assert-speedup`` (compiled over interpreted, per scheme) and
+  ``StepKernel`` (see :mod:`repro.ir.compile`) — over ground-truth
+  schemes; the CI perf smoke gates on ``--assert-speedup`` (compiled over
+  interpreted, per scheme) and
   ``--assert-batch-speedup`` (batch kernel over scalar closure, best per
   domain), both skipped with a warning below 2 cores.  Deployment runs
   take ``--no-jit`` on ``repro run`` (or ``REPRO_JIT=0``) to force the
@@ -186,6 +186,7 @@ from .frontend import python_to_ir
 from .ir.parser import parse_program
 from .ir.pretty import pretty_program
 from .runtime import (
+    BACKENDS,
     CheckpointError,
     KeyedOperator,
     OnlineOperator,
@@ -405,9 +406,8 @@ def _bench_compare(args) -> int:
 
 def _bench_runtime(args, timeout: float, workers: int) -> int:
     """``repro bench runtime`` — per-element throughput of the execution
-    backends (interpreted step, compiled scalar step, whole-batch kernel,
-    fused pipeline) over ground-truth schemes (no synthesis unless
-    --synthesis).
+    backends (interpreted step, compiled scalar step, whole-batch kernel)
+    over ground-truth schemes (no synthesis unless --synthesis).
 
     Writes ``BENCH_runtime.json`` with --out.  Two CI perf gates, both
     skipped with a warning below 2 cores (like ``bench holes`` — timer
@@ -434,7 +434,6 @@ def _bench_runtime(args, timeout: float, workers: int) -> int:
             elements=args.elements,
             repeats=args.repeats,
             stream_kind=args.stream,
-            fused=not args.no_fused,
             synthesis=args.synthesis,
             synthesis_timeout_s=timeout,
             workers=workers,
@@ -1359,7 +1358,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run on the tree-walking interpreter instead of "
                             "the compiled scheme step (same results; "
                             "equivalent to REPRO_JIT=0)")
-    p_run.add_argument("--backend", choices=("auto", "exact", "columnar"),
+    p_run.add_argument("--backend", choices=BACKENDS,
                        default="exact",
                        help="batch execution backend: exact rationals "
                             "(default), auto (NumPy columnar kernels when "
@@ -1447,7 +1446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-jit", action="store_true",
                          help="interpreted scheme steps in every worker "
                               "(same results; equivalent to REPRO_JIT=0)")
-    p_serve.add_argument("--backend", choices=("auto", "exact", "columnar"),
+    p_serve.add_argument("--backend", choices=BACKENDS,
                          default="exact",
                          help="worker batch backend: exact rationals "
                               "(default), auto (certificate-licensed int64 "
@@ -1648,7 +1647,7 @@ def build_parser() -> argparse.ArgumentParser:
              "gcd-heavy exact rationals (default: int)",
     )
     runtime_group.add_argument(
-        "--backend", choices=("auto", "exact", "columnar"), default="exact",
+        "--backend", choices=BACKENDS, default="exact",
         help="also measure the certificate-licensed NumPy columnar kernel: "
              "'auto' only where the int64 certificate makes it bit-identical, "
              "'columnar' also opts admitted schemes into the float64 domain "
@@ -1667,11 +1666,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--assert-batch-speedup", type=float, default=None, metavar="X",
         help="exit 1 if any measured domain's best batch-kernel-over-scalar "
              "speedup is below X (CI gate; warns and skips below 2 cores)",
-    )
-    runtime_group.add_argument(
-        "--no-fused", action="store_true",
-        help="skip the fused-pipeline measurement (one loop advancing all "
-             "same-arity schemes per element)",
     )
     runtime_group.add_argument(
         "--synthesis", action="store_true",

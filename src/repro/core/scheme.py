@@ -25,7 +25,7 @@ from ..ir.nodes import OnlineProgram
 from ..ir.pretty import pretty_online
 from ..ir.values import Value
 
-#: Cache marker: the program was tried and cannot be compiled (holes etc.);
+#: Cache marker: the artifact was tried and cannot be compiled (holes etc.);
 #: the scheme then runs on the interpreter without retrying per resolve.
 _UNCOMPILABLE = object()
 
@@ -40,20 +40,14 @@ class OnlineScheme:
     #: Excluded from equality: two schemes that compute the same thing are
     #: the same scheme regardless of where they came from.
     provenance: str = field(default="synthesized", compare=False)
-    #: Lazily-built native closure for ``program`` (see
-    #: :mod:`repro.ir.compile`).  Per-instance, so deserializing a scheme
-    #: starts with a cold cache; dropped on pickling (closures are process
-    #: artifacts, not data).
-    _compiled_step: object = field(default=None, init=False, repr=False, compare=False)
-    #: Lazily-built whole-batch kernel (see
-    #: :func:`repro.ir.compile.compile_step_batch`); same lifecycle as
-    #: ``_compiled_step`` — per-instance, cold after deserialization,
-    #: dropped on pickling.
-    _compiled_kernel: object = field(default=None, init=False, repr=False, compare=False)
-    #: Lazily-built columnar kernels, one entry per distinct
-    #: ``(bounds, allow_float)`` request (see :meth:`compiled_columns`);
-    #: same lifecycle as the other caches.
-    _columnar_cache: list = field(default_factory=list, init=False, repr=False, compare=False)
+    #: Lazily-built execution artifacts for ``program``: ``"step"`` is the
+    #: native scalar closure, ``"kernel"`` the whole-batch kernel (see
+    #: :mod:`repro.ir.compile`), and ``("columns", jit, allow_float)`` a
+    #: list of ``(bounds, columnar kernel)`` pairs, matched by ``bounds``
+    #: equality because bounds are unhashable (see :meth:`compiled_columns`).
+    #: Per-instance, so deserializing a scheme starts with a cold cache;
+    #: emptied on pickling (closures are process artifacts, not data).
+    _artifacts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.initializer) != self.program.arity:
@@ -68,6 +62,22 @@ class OnlineScheme:
 
     # -- execution backends ------------------------------------------------
 
+    def _compiled(self, key: str, compile_fn: Callable, what: str):
+        """The artifact ``compile_fn(program)`` cached under ``key``; a
+        program the compiler declines is remembered as such and raises
+        :class:`~repro.ir.compile.IRCompileError` on every request."""
+        try:
+            artifact = self._artifacts[key]
+        except KeyError:
+            try:
+                artifact = compile_fn(self.program, name=self.provenance)
+            except IRCompileError:
+                artifact = _UNCOMPILABLE
+            self._artifacts[key] = artifact
+        if artifact is _UNCOMPILABLE:
+            raise IRCompileError(f"online program of {self.provenance!r} is not {what}")
+        return artifact
+
     def compiled_step(
         self,
     ) -> Callable[[Sequence[Value], Value, Mapping[str, Value] | None], tuple]:
@@ -78,16 +88,7 @@ class OnlineScheme:
         cannot be compiled (e.g. it still contains sketch holes); the
         interpreter remains available through :meth:`interpreted_step`.
         """
-        cached = self._compiled_step
-        if cached is None:
-            try:
-                cached = compile_online_step(self.program, name=self.provenance)
-            except IRCompileError:
-                cached = _UNCOMPILABLE
-            self._compiled_step = cached
-        if cached is _UNCOMPILABLE:
-            raise IRCompileError(f"online program of {self.provenance!r} is not compilable")
-        return cached  # type: ignore[return-value]
+        return self._compiled("step", compile_online_step, "compilable")
 
     def interpreted_step(
         self,
@@ -108,16 +109,7 @@ class OnlineScheme:
         declines); :meth:`_resolve_kernel` then drives the resolved scalar
         step from the generic loop instead.
         """
-        cached = self._compiled_kernel
-        if cached is None:
-            try:
-                cached = compile_step_batch(self.program, name=self.provenance)
-            except IRCompileError:
-                cached = _UNCOMPILABLE
-            self._compiled_kernel = cached
-        if cached is _UNCOMPILABLE:
-            raise IRCompileError(f"online program of {self.provenance!r} is not batch-compilable")
-        return cached  # type: ignore[return-value]
+        return self._compiled("kernel", compile_step_batch, "batch-compilable")
 
     def compiled_columns(
         self, bounds=None, *, allow_float: bool = False, jit: bool | None = None
@@ -131,7 +123,9 @@ class OnlineScheme:
         ``int64`` certificate and ``allow_float`` is False.  Callers fall
         back to :meth:`_resolve_kernel` — the columnar path never changes
         what a scheme computes, only how fast the admitted ones run.
-        Results are cached per ``(bounds, allow_float)`` request.
+        Results are cached per ``(jit, allow_float, bounds)`` request: the
+        kernel's out-of-contract bailouts run on the exact kernel resolved
+        under the same ``jit``.
         """
         from ..ir.vectorize import columnar_kernel_for, numpy_or_none
 
@@ -139,8 +133,11 @@ class OnlineScheme:
             # Checked before the cache so REPRO_NO_NUMPY keeps working after
             # a kernel was compiled (the degraded-path tests flip it live).
             return None
-        for cached_bounds, cached_allow, kernel in self._columnar_cache:
-            if cached_bounds == bounds and cached_allow == allow_float:
+        if jit is None:
+            jit = jit_enabled()
+        entries = self._artifacts.setdefault(("columns", jit, allow_float), [])
+        for cached_bounds, kernel in entries:
+            if cached_bounds is bounds or cached_bounds == bounds:
                 return kernel
         kernel = columnar_kernel_for(
             self,
@@ -148,17 +145,14 @@ class OnlineScheme:
             allow_float=allow_float,
             exact=self._resolve_kernel(jit),
         )
-        self._columnar_cache.append((bounds, allow_float, kernel))
+        entries.append((bounds, kernel))
         return kernel
 
     def invalidate_compiled(self) -> None:
-        """Drop the cached closure and batch kernel.  Only needed if
-        ``program`` is mutated in place, which nothing in this codebase
-        does (schemes from ``loads``/``from_dict`` are fresh objects with
-        cold caches)."""
-        self._compiled_step = None
-        self._compiled_kernel = None
-        self._columnar_cache = []
+        """Drop every cached artifact.  Only needed if ``program`` is
+        mutated in place, which nothing in this codebase does (schemes from
+        ``loads``/``from_dict`` are fresh objects with cold caches)."""
+        self._artifacts = {}
 
     def _resolve_step(
         self, jit: bool | None = None
@@ -191,9 +185,7 @@ class OnlineScheme:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_compiled_step"] = None  # exec'd closures do not pickle
-        state["_compiled_kernel"] = None
-        state["_columnar_cache"] = []
+        state["_artifacts"] = {}  # exec'd closures do not pickle
         return state
 
     # -- semantics ---------------------------------------------------------

@@ -20,8 +20,8 @@ On-disk layout
     ``<root>/objects/<key[:2]>/<key>.pkl`` — two-level fan-out so a full
     matrix run (51 benchmarks x 5 solvers) never piles thousands of entries
     into one directory.  Each entry is a pickled ``(timeout_s, report)``
-    pair, written atomically (temp file + ``os.replace``) so parallel suite
-    runs and Ctrl-C never leave a torn entry behind.
+    pair, written atomically and durably (:func:`repro.diskstore.atomic_write`)
+    so parallel suite runs and Ctrl-C never leave a torn entry behind.
 
 Budget semantics
     Successful reports are budget-independent (the budget decides whether
@@ -155,15 +155,9 @@ class ResultCache:
         return report
 
     def put(self, key: str, timeout_s: float, report: SynthesisReport) -> None:
-        def write(handle):
-            pickle.dump(
-                (float(timeout_s), report),
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-
         try:
-            self._objects.write_atomic(key, write, binary=True)
+            data = pickle.dumps((float(timeout_s), report), protocol=pickle.HIGHEST_PROTOCOL)
+            self._objects.write_atomic(key, data)
         except (OSError, pickle.PicklingError):
             pass  # best-effort: an unwritable cache is just a slow cache
 

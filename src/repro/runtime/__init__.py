@@ -11,6 +11,7 @@ from . import sources
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .keyed import KeyedOperator
 from .stream import (
+    BACKENDS,
     OnlineOperator,
     StreamPipeline,
     compare_with_offline,
@@ -20,6 +21,7 @@ from .stream import (
 )
 
 __all__ = [
+    "BACKENDS",
     "CheckpointError",
     "KeyedOperator",
     "OnlineOperator",

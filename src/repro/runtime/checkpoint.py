@@ -41,6 +41,7 @@ from ..core.serialize import (
     encode_value,
     scheme_from_dict,
 )
+from ..diskstore import atomic_write, fsync_dir
 from ..ir.values import Value
 
 CHECKPOINT_VERSION = 1
@@ -222,60 +223,13 @@ def restore_keyed(
 # -- file helpers -----------------------------------------------------------
 
 
-def _fsync_dir(directory) -> None:
-    """Best-effort fsync of a directory (persists a rename in its entry
-    table).  Platforms that cannot open directories for fsync (Windows)
-    simply skip it — the file contents are already durable either way."""
-    try:
-        fd = os.open(directory, getattr(os, "O_DIRECTORY", os.O_RDONLY))
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically and durably: temp file in the
-    same directory, fsync, ``os.replace``, then fsync the directory.
-
-    A checkpoint is the *only* thing standing between a crashed worker and
-    replaying the stream from zero, so a crash mid-write must never leave a
-    torn file behind — readers see either the previous complete checkpoint
-    or the new complete one, nothing in between.  The temp file lives next
-    to the target (``os.replace`` must not cross filesystems) and is
-    removed if the write itself fails.  The final directory fsync persists
-    the rename itself: without it a power loss shortly after ``os.replace``
-    can roll the directory entry back to the old file even though the new
-    contents were fsynced.
-    """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.tmp.{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(target.parent)
-
-
 def save_checkpoint(op, path) -> None:
     """Write ``op.checkpoint()`` (or a ready-made checkpoint dict) to
-    ``path`` as JSON, atomically (see :func:`atomic_write_text`) — a crash
+    ``path`` as JSON, atomically (see :func:`atomic_write`) — a crash
     mid-write leaves the previous checkpoint intact instead of a torn file.
     """
     data = op if isinstance(op, dict) else op.checkpoint()
-    atomic_write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(
@@ -401,7 +355,7 @@ def save_generation(
         "digest": content_digest(generation, consumed, payload),
         "payload": payload,
     }
-    atomic_write_text(path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
     for gen, old in list_generations(base):
         if gen <= generation - keep:
             try:
@@ -455,7 +409,7 @@ def quarantine_generation(path) -> Path:
         target = path.with_name(f"{path.name}.corrupt.{n}")
         n += 1
     os.replace(path, target)
-    _fsync_dir(path.parent)
+    fsync_dir(path.parent)
     return target
 
 

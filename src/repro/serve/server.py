@@ -75,14 +75,15 @@ from typing import Hashable, Iterable, Mapping
 import multiprocessing as mp
 
 from ..core.scheme import OnlineScheme
+from ..diskstore import atomic_write
 from ..faults import FaultPlan
 from ..runtime.checkpoint import (
     CheckpointError,
-    atomic_write_text,
     load_latest_generation,
     restore_keyed,
 )
 from ..runtime.keyed import KeyedOperator
+from ..runtime.stream import check_backend
 from ..supervisor import ServiceSupervisor, _mp_context
 from ..ir.values import Value
 from .hashring import HashRing
@@ -227,8 +228,7 @@ class StreamServer:
         bounds=None,
         fresh: bool = False,
     ):
-        if backend not in (None, "exact", "auto", "columnar"):
-            raise ValueError(f"unknown backend {backend!r}")
+        check_backend(backend)
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if batch_size < 1:
@@ -388,7 +388,7 @@ class StreamServer:
                     name = entry.name
                     if name.startswith(("shard-", "deadletter-")):
                         entry.unlink(missing_ok=True)
-            atomic_write_text(path, json.dumps(self._manifest(), indent=2, sort_keys=True) + "\n")
+            atomic_write(path, json.dumps(self._manifest(), indent=2, sort_keys=True) + "\n")
             return False
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))

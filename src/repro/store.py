@@ -158,12 +158,8 @@ class SchemeStore:
         if analysis is not None:
             entry["analysis"] = analysis
 
-        def write(handle):
-            json.dump(entry, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
         try:
-            self._objects.write_atomic(key, write)
+            self._objects.write_atomic(key, json.dumps(entry, indent=2, sort_keys=True) + "\n")
         except OSError:
             pass  # best-effort: an unwritable store is just a slow store
 

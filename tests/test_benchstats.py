@@ -382,8 +382,9 @@ class TestMetadata:
 
 class TestReportFormatV3:
     def test_runtime_report_embeds_raw_and_meta(self):
-        report = run_runtime_benchmark(["count"], elements=200, repeats=3, fused=False)
+        report = run_runtime_benchmark(["count"], elements=200, repeats=3)
         assert report["version"] == 3
+        assert "fused" not in report
         assert set(report["meta"]) == {"git_commit", "timestamp", "clock"}
         raw = report["schemes"]["count"]["raw"]
         for key in ("interpreted_s", "compiled_s", "batch_s"):
@@ -499,7 +500,6 @@ class TestBenchHistoryCli:
                 "200",
                 "--repeats",
                 "3",
-                "--no-fused",
                 "--out",
                 str(out),
                 "--history-dir",
@@ -526,7 +526,6 @@ class TestBenchHistoryCli:
                 "200",
                 "--repeats",
                 "3",
-                "--no-fused",
                 "--out",
                 str(tmp_path / "report.json"),
                 "--history-dir",

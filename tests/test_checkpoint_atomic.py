@@ -7,10 +7,10 @@ import os
 import pytest
 
 from repro.core.scheme import OnlineScheme
+from repro.diskstore import atomic_write
 from repro.ir.dsl import add
 from repro.ir.nodes import OnlineProgram
 from repro.runtime import OnlineOperator, load_checkpoint, save_checkpoint
-from repro.runtime.checkpoint import atomic_write_text
 
 
 def sum_scheme() -> OnlineScheme:
@@ -20,20 +20,22 @@ def sum_scheme() -> OnlineScheme:
 class TestAtomicWriteText:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "out.json"
-        atomic_write_text(path, '{"v": 1}\n')
+        atomic_write(path, '{"v": 1}\n')
         assert path.read_text() == '{"v": 1}\n'
-        atomic_write_text(path, '{"v": 2}\n')
+        atomic_write(path, '{"v": 2}\n')
         assert path.read_text() == '{"v": 2}\n'
+        atomic_write(path, b"\x00bytes\xff")
+        assert path.read_bytes() == b"\x00bytes\xff"
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        atomic_write_text(tmp_path / "out.json", "data\n")
+        atomic_write(tmp_path / "out.json", "data\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
     def test_interrupted_write_preserves_previous_contents(self, tmp_path, monkeypatch):
         # Simulate a crash partway through the new write: the replace never
         # happens, so the previous complete file must survive untouched.
         path = tmp_path / "ck.json"
-        atomic_write_text(path, "previous complete checkpoint\n")
+        atomic_write(path, "previous complete checkpoint\n")
 
         real_fsync = os.fsync
 
@@ -43,7 +45,7 @@ class TestAtomicWriteText:
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(OSError, match="disk gone"):
-            atomic_write_text(path, "torn")
+            atomic_write(path, "torn")
         monkeypatch.undo()
         assert path.read_text() == "previous complete checkpoint\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json"]
@@ -52,7 +54,7 @@ class TestAtomicWriteText:
         path = tmp_path / "ck.json"
         monkeypatch.setattr(os, "fsync", lambda fd: (_ for _ in ()).throw(OSError("x")))
         with pytest.raises(OSError):
-            atomic_write_text(path, "torn")
+            atomic_write(path, "torn")
         monkeypatch.undo()
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
@@ -71,21 +73,21 @@ class TestAtomicWriteText:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
-        atomic_write_text(tmp_path / "out.json", "data\n")
+        atomic_write(tmp_path / "out.json", "data\n")
         monkeypatch.undo()
-        assert synced_dirs, "atomic_write_text never fsynced the directory"
+        assert synced_dirs, "atomic_write never fsynced the directory"
 
     def test_directory_fsync_failure_is_not_fatal(self, tmp_path, monkeypatch):
         # Some filesystems refuse fsync on a directory fd; the write (which
         # already completed atomically) must not be reported as failed.
-        from repro.runtime import checkpoint as ckpt_mod
+        from repro import diskstore
 
         monkeypatch.setattr(
-            ckpt_mod.os, "open",
+            diskstore.os, "open",
             lambda *a, **k: (_ for _ in ()).throw(OSError("no dir fds here")),
         )
         path = tmp_path / "out.json"
-        atomic_write_text(path, "data\n")
+        atomic_write(path, "data\n")
         monkeypatch.undo()
         assert path.read_text() == "data\n"
 

@@ -165,7 +165,7 @@ class TestRoundTripAndPickle:
             bench = get_benchmark(name)
             original = bench.ground_truth
             loaded = OnlineScheme.loads(original.dumps())
-            assert loaded._compiled_step is None  # cold cache on a new object
+            assert loaded._artifacts == {}  # cold cache on a new object
             stream = adversarial_stream(bench.element_arity, f"rt:{name}")
             extra = {p: 3 for p in original.program.extra_params}
             expected = run_differential(original, stream, extra)
@@ -176,7 +176,7 @@ class TestRoundTripAndPickle:
         scheme = get_benchmark("variance").ground_truth
         scheme.compiled_step()  # warm the cache
         clone = pickle.loads(pickle.dumps(scheme))
-        assert clone._compiled_step is None
+        assert clone._artifacts == {}
         assert clone == scheme
         # and the clone compiles freshly to the same behaviour
         stream = adversarial_stream(1, "pickle")

@@ -2,8 +2,8 @@
 
 The :class:`~repro.ir.compile.StepKernel` plan claims to be *semantically
 invisible*: ``push_many`` through a kernel — the codegen-compiled batch
-loop, the fused pipeline loop, or the interpreter-driven fallback — must
-equal sequential per-element ``push`` bit-for-bit over exact rationals
+loop or the interpreter-driven fallback, per operator or across a
+pipeline — must equal sequential per-element ``push`` bit-for-bit over exact rationals
 (states, outputs, counts, exception classes, partial progress on failure).
 These tests enforce the claim on every ground-truth scheme of the suite,
 jit on and off, including keyed and checkpoint-resume paths.
@@ -20,12 +20,11 @@ from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
     IRCompileError,
     StepKernel,
-    compile_fused_steps,
     compile_online_step,
     compile_step_batch,
     kernel_partial,
 )
-from repro.ir.dsl import add, eq, ite, mul
+from repro.ir.dsl import add, eq, ite
 from repro.ir.evaluator import EvaluationError
 from repro.ir.nodes import OnlineProgram, Var
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
@@ -120,7 +119,7 @@ class TestBatchKernelEquivalence:
             )
             assert consumed == len(elements)
             assert_same_value(batch_state, state, bench.name)
-            assert kernel.compiled and not kernel.fused
+            assert kernel.compiled
             assert kernel.source is not None
 
     def test_empty_batch_is_identity(self):
@@ -206,9 +205,9 @@ class TestBatchKernelEquivalence:
     def test_pickle_drops_kernel_cache(self):
         scheme = get_benchmark("variance").ground_truth
         scheme.compiled_kernel()
-        assert scheme._compiled_kernel is not None
+        assert "kernel" in scheme._artifacts
         clone = pickle.loads(pickle.dumps(scheme))
-        assert clone._compiled_kernel is None and clone._compiled_step is None
+        assert clone._artifacts == {}
         elements = [Fraction(i, 2) for i in range(9)]
         a = OnlineOperator(scheme)
         b = OnlineOperator(clone)
@@ -220,7 +219,7 @@ class TestBatchKernelEquivalence:
         scheme = get_benchmark("mean").ground_truth
         scheme.compiled_kernel()
         scheme.invalidate_compiled()
-        assert scheme._compiled_kernel is None and scheme._compiled_step is None
+        assert scheme._artifacts == {}
 
     def test_final_routes_through_kernel(self):
         for name in ("mean", "variance", "q_category_volume"):
@@ -345,6 +344,10 @@ class TestKeyedBatch:
 
 
 class TestFusedPipeline:
+    """Pipeline batches: every operator drains through its own kernel, and
+    the result equals per-element ``push`` (the class keeps the name it had
+    when pipelines ran one fused loop)."""
+
     def _schemes(self):
         return {
             name: get_benchmark(name).ground_truth
@@ -373,36 +376,35 @@ class TestFusedPipeline:
         for name, op in batched.operators.items():
             assert_same_value(op.state, stepped.operators[name].state, name)
             assert op.count == stepped.operators[name].count
-        plan = batched._fused_plan
-        assert plan is not None and plan[1] is not None and plan[1].fused
 
-    def test_fused_kernel_against_per_scheme_kernels(self):
-        schemes = list(self._schemes().values())
-        fused = compile_fused_steps([s.program for s in schemes])
-        elements = self._elements()
-        states, consumed = fused.run(
-            tuple(s.initializer for s in schemes),
-            elements,
-            tuple({} for _ in schemes),
-        )
-        assert consumed == len(elements)
-        for scheme, state in zip(schemes, states):
-            expected, _ = scheme.compiled_kernel().run(
-                scheme.initializer, elements, {}
-            )
-            assert_same_value(state, expected, scheme.provenance)
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_pipeline_equals_push_on_all_ground_truths(self, jit):
+        # One pipeline per element arity over every ground truth, fed in
+        # uneven chunks: snapshots, states and counts match push.
+        by_arity: dict[int, list] = {}
+        for bench in ground_truths():
+            by_arity.setdefault(bench.element_arity, []).append(bench)
+        for arity, benches in by_arity.items():
+            def build():
+                return StreamPipeline(
+                    {
+                        b.name: OnlineOperator(
+                            b.ground_truth, extras_for(b.ground_truth), jit=jit
+                        )
+                        for b in benches
+                    }
+                )
 
-    def test_fused_with_extra_params(self):
-        # Two programs whose extras live in *separate* slots, one of them
-        # sharing the extra name — fusion must not cross the streams.
-        p1 = OnlineProgram(("s",), "x", (add("s", mul("x", "k")),), ("k",))
-        p2 = OnlineProgram(("t",), "x", (add("t", add("x", "k")),), ("k",))
-        fused = compile_fused_steps([p1, p2])
-        states, consumed = fused.run(
-            ((0,), (0,)), [1, 2, 3], ({"k": 10}, {"k": Fraction(1, 2)})
-        )
-        assert consumed == 3
-        assert states == ((60,), (Fraction(15, 2),))
+            elements = stream_for(benches[0])
+            batched, stepped = build(), build()
+            for start, stop in ((0, 0), (0, 7), (7, 8), (8, len(elements))):
+                batched.push_many(elements[start:stop])
+            for element in elements:
+                stepped.push(element)
+            assert batched.snapshot() == stepped.snapshot()
+            for name, op in stepped.operators.items():
+                assert_same_value(batched.operators[name].state, op.state, name)
+                assert batched.operators[name].count == op.count == len(elements)
 
     def test_no_jit_operator_disables_fusion_but_not_equality(self):
         elements = self._elements()
@@ -424,25 +426,15 @@ class TestFusedPipeline:
         for element in elements:
             stepped.push(element)
         assert snapshot == stepped.snapshot()
-        assert mixed._fused_plan[1] is None  # fusion declined, fallback used
-
-    def test_single_operator_pipeline_does_not_fuse(self):
-        pipeline = StreamPipeline(
-            {"mean": OnlineOperator(get_benchmark("mean").ground_truth)}
-        )
-        pipeline.push_many(self._elements(10))
-        assert pipeline._fused_plan[1] is None
 
     def test_operator_swap_recompiles_plan(self):
         elements = self._elements(20)
         pipeline = self._pipeline()
         pipeline.push_many(elements)
-        first_plan = pipeline._fused_plan[1]
         pipeline.operators["sum"] = OnlineOperator(
             get_benchmark("sum").ground_truth
         )
         snapshot = pipeline.push_many(elements)
-        assert pipeline._fused_plan[1] is not first_plan
         ref_mean = OnlineOperator(get_benchmark("mean").ground_truth)
         for element in elements + elements:  # the mean op saw both batches
             ref_mean.push(element)
@@ -474,21 +466,18 @@ class TestFusedPipeline:
         )
         with pytest.raises(EvaluationError):
             pipeline.push_many([1, 2, 3, 4])
-        assert pipeline._fused_plan[1] is not None  # the fused path ran
         assert pipeline.operators["ok"].state == (6,)
         assert pipeline.operators["ok"].count == 3
         assert pipeline.operators["bad"].state == (3,)
         assert pipeline.operators["bad"].count == 2
 
     def test_duplicate_operator_object_declines_fusion(self):
-        # One operator under two names: fused slots would overwrite each
-        # other's writes to the shared state.  Fusion must decline, and the
-        # sequential-drain result must match in both jit modes.
+        # One operator under two names: the shared state is drained once
+        # per name, in both jit modes.
         elements = self._elements(12)
         op = OnlineOperator(get_benchmark("mean").ground_truth)
         pipeline = StreamPipeline({"a": op, "b": op})
         snapshot = pipeline.push_many(elements)
-        assert pipeline._fused_plan[1] is None
         reference = OnlineOperator(get_benchmark("mean").ground_truth)
         reference.push_many(elements)
         reference.push_many(elements)  # drained once per name
@@ -545,8 +534,8 @@ class TestFusedPipeline:
 
     def test_source_iterator_error_keeps_counts_exact(self):
         # The elements iterable itself raising between elements must record
-        # only fully-applied elements — for the single-program kernel and
-        # for the fused kernel's per-program counts alike.
+        # only fully-applied elements — for one operator and for every
+        # operator of a pipeline.
         def two_then_boom():
             yield 1
             yield 2
@@ -558,13 +547,48 @@ class TestFusedPipeline:
             op.push_many(two_then_boom())
         assert op.state == (3,) and op.count == 2
 
-        schemes = [get_benchmark(n).ground_truth for n in ("sum", "count")]
-        fused = compile_fused_steps([s.program for s in schemes])
-        with pytest.raises(RuntimeError) as info:
-            fused.run(((0,), (0,)), two_then_boom(), ({}, {}))
-        states, counts = info.value.__repro_partial__
-        assert states == ((3,), (2,))
-        assert counts == (2, 2)
+        pipeline = StreamPipeline(
+            {n: OnlineOperator(get_benchmark(n).ground_truth) for n in ("sum", "count")}
+        )
+        with pytest.raises(RuntimeError):
+            pipeline.push_many(two_then_boom())
+        assert pipeline.operators["sum"].state == (3,)
+        assert pipeline.operators["count"].state == (2,)
+        assert [op.count for op in pipeline.operators.values()] == [2, 2]
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_raising_source_keeps_prefix_like_push(self, jit):
+        # A source that dies after two elements: push applies both, and so
+        # must push_many — the prefix drains, then the error propagates.
+        def two_then_boom():
+            yield Fraction(1, 2)
+            yield 3
+            raise RuntimeError("source died")
+
+        batched = self._pipeline(jit)
+        with pytest.raises(RuntimeError, match="source died"):
+            batched.push_many(two_then_boom())
+        stepped = self._pipeline(jit)
+        with pytest.raises(RuntimeError, match="source died"):
+            for element in two_then_boom():
+                stepped.push(element)
+        for name, op in stepped.operators.items():
+            assert op.count == 2
+            assert_same_value(batched.operators[name].state, op.state, name)
+            assert batched.operators[name].count == op.count
+
+    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
+    def test_empty_batch_leaves_every_operator_untouched(self, jit):
+        # A state of the wrong arity only fails once an element is applied;
+        # an empty batch must return unchanged in both modes, as push would.
+        pipeline = self._pipeline(jit)
+        pipeline.operators["variance"].state = (0,)
+        before = {name: (op.state, op.count) for name, op in pipeline.operators.items()}
+        assert pipeline.push_many([]) == pipeline.snapshot()
+        after = {name: (op.state, op.count) for name, op in pipeline.operators.items()}
+        assert after == before
+        with pytest.raises(EvaluationError):
+            pipeline.push_many([1])
 
     def test_from_step_wrapper_contract(self):
         scheme = get_benchmark("mean").ground_truth

