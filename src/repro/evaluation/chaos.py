@@ -33,9 +33,12 @@ import random
 import time
 from pathlib import Path
 
+from ..diskstore import atomic_write
 from ..faults import POISON, FaultPlan
 from ..runtime import sources
 from ..serve import ServeError, StreamServer, reference_states
+from ..suites import get_benchmark
+from .export import bench_metadata
 
 CHAOS_FORMAT = "repro/chaos"
 CHAOS_FORMAT_VERSION = 1
@@ -66,12 +69,6 @@ def normalize_fault_kinds(kinds) -> tuple[str, ...]:
     if not normalized:
         raise ValueError("at least one fault kind is required")
     return tuple(normalized)
-
-
-def _load_scheme(name: str):
-    from .serve_bench import _load_scheme as load
-
-    return load(name)
 
 
 def schedule_faults(
@@ -155,7 +152,9 @@ def run_trial(
         "elements": len(elements),
     }
     started = time.perf_counter()
-    scheme = _load_scheme(scheme_name)
+    scheme = get_benchmark(scheme_name).ground_truth
+    if scheme is None:
+        raise ValueError(f"benchmark {scheme_name!r} has no ground-truth scheme")
     try:
         server = StreamServer(
             scheme,
@@ -243,8 +242,6 @@ def run_chaos(
     """
     import tempfile
 
-    from .history import bench_metadata
-
     kinds = normalize_fault_kinds(fault_kinds)
     schemes = list(schemes) or list(DEFAULT_SCHEMES)
     base_spec = source or f"zipf-keys:{elements}:{keys}:1"
@@ -316,9 +313,7 @@ def run_chaos(
 
 
 def write_report(report: dict, path) -> None:
-    from .runtime_bench import write_report as _write
-
-    _write(report, path)
+    atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def format_report(report: dict) -> str:

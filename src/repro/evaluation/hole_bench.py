@@ -20,11 +20,10 @@ Results are written as ``BENCH_holes.json`` (CI uploads it and gates on
 speedup is only physically possible with >= 2 cores; the CLI gate warns
 and passes on single-core machines instead of failing spuriously.
 
-Format v3 (aligned with ``BENCH_runtime.json``) embeds the raw per-repeat
-wall-clocks under each benchmark's ``raw`` key and a ``meta`` provenance
-block (git commit, UTC timestamp, clock note), which is what ``repro bench
-compare`` runs its bootstrap/Mann-Whitney machinery over
-(:mod:`repro.evaluation.benchstats`).
+Each benchmark's ``raw`` key keeps the per-repeat wall-clocks behind the
+best-of numbers, and the ``meta`` block (:func:`bench_metadata`, shared
+with the ``repro chaos`` summary) records the git commit, a UTC timestamp
+and the clock used, so a report stays attributable after the fact.
 
 Entry points: ``repro bench holes`` on the CLI, or
 :func:`run_hole_benchmark` from Python/pytest.
@@ -38,11 +37,11 @@ import platform
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 from typing import Sequence
 
 from ..core import SynthesisConfig, synthesize
 from ..core.report import SynthesisReport
+from ..diskstore import atomic_write
 from ..ir.dsl import (
     XS,
     add,
@@ -58,10 +57,10 @@ from ..ir.dsl import (
 )
 from ..suites import get_benchmark
 from ..suites.registry import Benchmark
+from .export import bench_metadata
 
-#: Envelope identifiers for BENCH_holes.json.  Version jumps 1 -> 3 so the
-#: "raw repeats + meta" report generation is one number across both bench
-#: formats.
+#: Envelope identifiers for BENCH_holes.json.  Version 3 added the raw
+#: per-repeat wall-clocks and the ``meta`` provenance block.
 BENCH_FORMAT = "repro/bench-holes"
 BENCH_FORMAT_VERSION = 3
 
@@ -174,9 +173,9 @@ def run_hole_benchmark(
         raise ValueError(f"hole_workers must be >= 2 to compare, got {hole_workers}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    from .history import bench_metadata
 
-    chosen = list(names) if names else list(DEFAULT_HOLE_TASKS)
+    # Resolve every name before any synthesis: an unknown task fails fast.
+    chosen = [(name, _resolve(name)) for name in (names or DEFAULT_HOLE_TASKS)]
     report: dict = {
         "format": BENCH_FORMAT,
         "version": BENCH_FORMAT_VERSION,
@@ -189,8 +188,7 @@ def run_hole_benchmark(
         "repeats": repeats,
         "benchmarks": {},
     }
-    for name in chosen:
-        bench = _resolve(name)
+    for name, bench in chosen:
         base = SynthesisConfig(timeout_s=timeout_s, element_arity=bench.element_arity)
         times = {1: [], hole_workers: []}
         outcomes: dict[int, SynthesisReport] = {}
@@ -239,4 +237,4 @@ def format_holes_report(report: dict) -> str:
 
 
 def write_holes_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")

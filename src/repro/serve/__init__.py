@@ -18,8 +18,9 @@ instead of halting — all of it provable on demand with the seeded fault
 injection of :mod:`repro.faults` and the ``repro chaos`` harness
 (:mod:`repro.evaluation.chaos`).
 
-See :mod:`repro.serve.server` for the delivery contract, and
-:mod:`repro.evaluation.serve_bench` for the load generator / benchmark.
+See :mod:`repro.serve.server` for the delivery contract; throughput and
+hand-off latency are measured by the ``keyed-hot`` workload of the
+repository benchmark (``perfbench/serve.py``).
 """
 
 from .hashring import HashRing, stable_key_hash
