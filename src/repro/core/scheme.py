@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from ..ir.compile import (
     IRCompileError,
     StepKernel,
-    compile_online_step,
-    compile_step_batch,
+    compile_online,
     jit_enabled,
     kernel_partial,
 )
@@ -24,11 +23,6 @@ from ..ir.evaluator import step_online
 from ..ir.nodes import OnlineProgram
 from ..ir.pretty import pretty_online
 from ..ir.values import Value
-
-#: Cache marker: the artifact was tried and cannot be compiled (holes etc.);
-#: the scheme then runs on the interpreter without retrying per resolve.
-_UNCOMPILABLE = object()
-
 
 @dataclass
 class OnlineScheme:
@@ -40,9 +34,10 @@ class OnlineScheme:
     #: Excluded from equality: two schemes that compute the same thing are
     #: the same scheme regardless of where they came from.
     provenance: str = field(default="synthesized", compare=False)
-    #: Lazily-built execution artifacts for ``program``: ``"step"`` is the
-    #: native scalar closure, ``"kernel"`` the whole-batch kernel (see
-    #: :mod:`repro.ir.compile`), and ``("columns", jit, allow_float)`` a
+    #: Lazily-built execution artifacts for ``program``: ``"compiled"`` is
+    #: the ``(step, kernel)`` pair of :func:`repro.ir.compile.compile_online`
+    #: (``(None, None)`` once compilation was declined, so it is not
+    #: retried per resolve), and ``("columns", jit, allow_float)`` a
     #: list of ``(bounds, columnar kernel)`` pairs, matched by ``bounds``
     #: equality because bounds are unhashable (see :meth:`compiled_columns`).
     #: Per-instance, so deserializing a scheme starts with a cold cache;
@@ -62,21 +57,18 @@ class OnlineScheme:
 
     # -- execution backends ------------------------------------------------
 
-    def _compiled(self, key: str, compile_fn: Callable, what: str):
-        """The artifact ``compile_fn(program)`` cached under ``key``; a
-        program the compiler declines is remembered as such and raises
-        :class:`~repro.ir.compile.IRCompileError` on every request."""
-        try:
-            artifact = self._artifacts[key]
-        except KeyError:
+    def _compiled(self) -> tuple:
+        """The ``(step, kernel)`` pair compiled from one generated module,
+        built once and cached; ``(None, None)`` when the program cannot be
+        compiled."""
+        pair = self._artifacts.get("compiled")
+        if pair is None:
             try:
-                artifact = compile_fn(self.program, name=self.provenance)
+                pair = compile_online(self.program, name=self.provenance)
             except IRCompileError:
-                artifact = _UNCOMPILABLE
-            self._artifacts[key] = artifact
-        if artifact is _UNCOMPILABLE:
-            raise IRCompileError(f"online program of {self.provenance!r} is not {what}")
-        return artifact
+                pair = (None, None)
+            self._artifacts["compiled"] = pair
+        return pair
 
     def compiled_step(
         self,
@@ -88,7 +80,10 @@ class OnlineScheme:
         cannot be compiled (e.g. it still contains sketch holes); the
         interpreter remains available through :meth:`interpreted_step`.
         """
-        return self._compiled("step", compile_online_step, "compilable")
+        step = self._compiled()[0]
+        if step is None:
+            raise IRCompileError(f"online program of {self.provenance!r} is not compilable")
+        return step
 
     def interpreted_step(
         self,
@@ -109,7 +104,12 @@ class OnlineScheme:
         declines); :meth:`_resolve_kernel` then drives the resolved scalar
         step from the generic loop instead.
         """
-        return self._compiled("kernel", compile_step_batch, "batch-compilable")
+        kernel = self._compiled()[1]
+        if kernel is None:
+            raise IRCompileError(
+                f"online program of {self.provenance!r} is not batch-compilable"
+            )
+        return kernel
 
     def compiled_columns(
         self, bounds=None, *, allow_float: bool = False, jit: bool | None = None

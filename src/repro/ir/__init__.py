@@ -35,7 +35,7 @@ from .nodes import (
 from .compile import (
     IRCompileError,
     compile_expr,
-    compile_online_step,
+    compile_online,
     jit_enabled,
 )
 from .evaluator import EvaluationError, evaluate, run_offline, step_online
@@ -85,7 +85,7 @@ __all__ = [
     "ast_size",
     "check_well_typed",
     "compile_expr",
-    "compile_online_step",
+    "compile_online",
     "infer_program_type",
     "infer_type",
     "const",

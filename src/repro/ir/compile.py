@@ -46,13 +46,15 @@ The escape hatch: ``REPRO_JIT=0`` (or ``--no-jit`` on the CLI) disables the
 backend globally; :func:`jit_enabled` is consulted by every integration
 point.
 
-Beyond the scalar closure, this module also compiles the *batch loop*
-itself: :func:`compile_step_batch` generates the whole ``push_many`` hot
-loop as source (state components live in Python locals across the chunk,
-extra-parameter lookups are hoisted once per batch, the CSE'd step body is
-inlined in the loop) and returns a :class:`StepKernel` — the execution
-plan every runtime layer (operators, keyed partitions, pipelines, windows)
-consumes instead of hand-rolling its own per-element loop.
+Online programs compile to one generated module with two entries
+(:func:`compile_online`): the scalar ``step`` closure and a
+:class:`StepKernel` that runs the whole ``push_many`` hot loop (state
+components live in Python locals across the chunk, extra-parameter lookups
+are hoisted once per batch, the step body is inlined in the loop).  Both
+are rendered from the same prologue and the same CSE'd step body, by one
+emitter; the kernel is the execution plan every runtime layer (operators,
+keyed partitions, windows) consumes instead of hand-rolling its own
+per-element loop.
 """
 
 from __future__ import annotations
@@ -508,7 +510,7 @@ def _unconditional_free(expr: Expr, bound: frozenset[str]) -> frozenset[str]:
     up: everything except ``If`` branches and function bodies (which may
     never run — conservatively including directly-applied lambdas).  Drives
     the eager-vs-lazy split of extra-parameter binding in
-    :func:`compile_online_step`."""
+    :func:`compile_online`."""
     if isinstance(expr, (Var, ListVar)):
         return frozenset((expr.name,)) - bound
     if isinstance(expr, Lambda):
@@ -541,17 +543,19 @@ class _Codegen:
     """One generated module: accumulates globals (constants, built-in impls,
     helpers) while emitting Python code for IR trees.
 
-    Two emission contexts:
+    :meth:`emit` has two contexts, chosen by its ``lines`` argument:
 
-    * :meth:`emit_stmts` — statement context for unconditionally-evaluated
+    * statement context (``lines`` given) for unconditionally-evaluated
       positions: every non-trivial node becomes a single-assignment
       temporary, memoized by the (structurally hashable) node itself, which
       is exactly common-subexpression elimination;
-    * :meth:`emit` — expression context for conditionally-evaluated
+    * expression context (no ``lines``) for conditionally-evaluated
       positions (``If`` branches, lambda bodies).  ``If`` branches still
       *read* the memo (no new bindings in scope); binder bodies drop it
       (their parameters may shadow the names a memoized temp was computed
       under).
+
+    Emitted lines are unindented; the compilers indent them per ``def``.
     """
 
     def __init__(self) -> None:
@@ -636,83 +640,21 @@ class _Codegen:
             return f"_extra_get(_extra, {name!r}, {kind!r})"
         raise IRCompileError(f"unbound variable {name!r}")
 
-    # -- statement (CSE) context -------------------------------------------
+    # -- emission ----------------------------------------------------------
 
-    def emit_stmts(self, expr: Expr, bound: frozenset[str], lines: list, memo: dict) -> str:
-        """Emit ``expr`` in unconditional statement context; returns a simple
-        reference (literal, variable, or single-assignment temporary)."""
-        cached = memo.get(expr)
-        if cached is not None:
-            return cached
-        if isinstance(expr, (Const, Var, ListVar)):
-            return self.emit(expr, bound, memo)
-        code = self._node_stmts(expr, bound, lines, memo)
-        temp = self.fresh()
-        lines.append(f"    {temp} = {code}")
-        memo[expr] = temp
-        return temp
-
-    def _node_stmts(self, expr: Expr, bound: frozenset[str], lines: list, memo: dict) -> str:
-        """Code for one non-trivial node, hoisting its unconditionally
-        evaluated children (argument/condition/list/init positions) into
-        temporaries first, in the interpreter's evaluation order."""
-        if isinstance(expr, Call):
-            func = expr.func
-            if isinstance(func, Var):
-                # The callable check precedes argument evaluation.
-                callee = self._hoist_env_fn(func, bound, lines)
-                args = [self.emit_stmts(a, bound, lines, memo) for a in expr.args]
-                return f"{callee}({', '.join(args)})"
-            args = [self.emit_stmts(a, bound, lines, memo) for a in expr.args]
-            return self._apply(func, args, bound, memo)
-        if isinstance(expr, If):
-            cond = self.emit_stmts(expr.cond, bound, lines, memo)
-            then = self.emit(expr.then, bound, memo)
-            orelse = self.emit(expr.orelse, bound, memo)
-            return f"({then} if {cond} else {orelse})"
-        if isinstance(expr, Map):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=False, lines=lines)
-        if isinstance(expr, Filter):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=True, lines=lines)
-        if isinstance(expr, Fold):
-            fn = self._fold_callee(expr.func, bound, memo, lines=lines)
-            init = self.emit_stmts(expr.init, bound, lines, memo)
-            lst = self.emit_stmts(expr.lst, bound, lines, memo)
-            return f"_fold({fn}, {init}, {lst})"
-        if isinstance(expr, Let):
-            value = self.emit_stmts(expr.value, bound, lines, memo)
-            param = self.mangle(expr.name)
-            body = self.emit(expr.body, bound | {expr.name}, None)
-            return f"(lambda {param}: {body})({value})"
-        if isinstance(expr, Snoc):
-            lst = self.emit_stmts(expr.lst, bound, lines, memo)
-            elem = self.emit_stmts(expr.elem, bound, lines, memo)
-            return f"(list({lst}) + [{elem}])"
-        if isinstance(expr, MakeTuple):
-            items = [self.emit_stmts(item, bound, lines, memo) for item in expr.items]
-            if not items:
-                return "()"
-            joined = ", ".join(items)
-            return f"({joined},)" if len(items) == 1 else f"({joined})"
-        if isinstance(expr, Proj):
-            tup = self.emit_stmts(expr.tup, bound, lines, memo)
-            return f"_proj({tup}, {expr.index}, {self.string(repr(expr))})"
-        if isinstance(expr, Lambda):
-            return f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
-        if isinstance(expr, Hole):
-            raise IRCompileError(f"cannot compile sketch hole {expr!r}")
-        raise IRCompileError(f"unhandled node {type(expr).__name__}")
-
-    def _hoist_env_fn(self, func: Var, bound: frozenset[str], lines: list) -> str:
-        if func.name not in bound:
-            raise IRCompileError(f"unbound variable {func.name!r}")
-        temp = self.fresh("_f")
-        lines.append(f"    {temp} = _env_fn({self.mangle(func.name)}, {func.name!r})")
-        return temp
-
-    # -- expression context ------------------------------------------------
-
-    def emit(self, expr: Expr, bound: frozenset[str], memo: dict | None = None) -> str:
+    def emit(
+        self,
+        expr: Expr,
+        bound: frozenset[str],
+        memo: dict | None = None,
+        lines: list | None = None,
+    ) -> str:
+        """Code for ``expr``.  With ``lines`` (statement context, ``memo``
+        required) the node's unconditionally evaluated children — argument,
+        condition, list and init positions — are hoisted first, in the
+        interpreter's evaluation order, and the node itself becomes a
+        memoized temporary; the result is then a simple reference (literal,
+        variable, or temporary)."""
         if memo is not None:
             cached = memo.get(expr)
             if cached is not None:
@@ -723,60 +665,65 @@ class _Codegen:
             return self._name_ref(expr.name, bound, "variable")
         if isinstance(expr, ListVar):
             return self._name_ref(expr.name, bound, "list variable")
-        if isinstance(expr, Lambda):
-            # Value position: arity-guarded like the interpreter's Closure.
-            return f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
         if isinstance(expr, Call):
             func = expr.func
-            if isinstance(func, Var):
-                if func.name not in bound:
-                    raise IRCompileError(f"unbound variable {func.name!r}")
-                callee = f"_env_fn({self.mangle(func.name)}, {func.name!r})"
-                args = ", ".join(self.emit(a, bound, memo) for a in expr.args)
-                return f"{callee}({args})"
-            args = [self.emit(a, bound, memo) for a in expr.args]
-            return self._apply(func, args, bound, memo)
-        if isinstance(expr, If):
-            cond = self.emit(expr.cond, bound, memo)
+            # An env-provided callee is checked before the arguments run.
+            callee = self._callee(func, bound, lines) if isinstance(func, Var) else None
+            args = [self.emit(a, bound, memo, lines) for a in expr.args]
+            if callee is None:
+                code = self._apply(func, args, bound)
+            else:
+                code = f"{callee}({', '.join(args)})"
+        elif isinstance(expr, If):
+            cond = self.emit(expr.cond, bound, memo, lines)
             then = self.emit(expr.then, bound, memo)
             orelse = self.emit(expr.orelse, bound, memo)
-            return f"({then} if {cond} else {orelse})"
-        if isinstance(expr, Map):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=False)
-        if isinstance(expr, Filter):
-            return self._combinator(expr.func, expr.lst, bound, memo, filtering=True)
-        if isinstance(expr, Fold):
-            fn = self._fold_callee(expr.func, bound, memo)
-            init = self.emit(expr.init, bound, memo)
-            lst = self.emit(expr.lst, bound, memo)
-            return f"_fold({fn}, {init}, {lst})"
-        if isinstance(expr, Let):
-            value = self.emit(expr.value, bound, memo)
-            param = self.mangle(expr.name)
-            body = self.emit(expr.body, bound | {expr.name}, None)
-            return f"(lambda {param}: {body})({value})"
-        if isinstance(expr, Snoc):
-            lst = self.emit(expr.lst, bound, memo)
-            elem = self.emit(expr.elem, bound, memo)
-            return f"(list({lst}) + [{elem}])"
-        if isinstance(expr, MakeTuple):
-            if not expr.items:
-                return "()"
-            items = ", ".join(self.emit(item, bound, memo) for item in expr.items)
-            return f"({items},)" if len(expr.items) == 1 else f"({items})"
-        if isinstance(expr, Proj):
-            tup = self.emit(expr.tup, bound, memo)
-            return f"_proj({tup}, {expr.index}, {self.string(repr(expr))})"
-        if isinstance(expr, Hole):
+            code = f"({then} if {cond} else {orelse})"
+        elif isinstance(expr, (Map, Filter)):
+            code = self._combinator(expr, bound, memo, lines)
+        elif isinstance(expr, Fold):
+            func = expr.func
+            if not isinstance(func, Lambda):
+                fn = self._callee(func, bound, lines)
+            elif len(func.params) == 2:
+                fn = self._lambda(func, bound)
+            else:  # raises on the first call, like the interpreter's Closure
+                args = self.fresh("_a")
+                fn = f"(lambda *{args}: _arity({len(func.params)}, {args}))"
+            init = self.emit(expr.init, bound, memo, lines)
+            lst = self.emit(expr.lst, bound, memo, lines)
+            code = f"_fold({fn}, {init}, {lst})"
+        elif isinstance(expr, Let):
+            value = self.emit(expr.value, bound, memo, lines)
+            body = self.emit(expr.body, bound | {expr.name})
+            code = f"(lambda {self.mangle(expr.name)}: {body})({value})"
+        elif isinstance(expr, Snoc):
+            lst = self.emit(expr.lst, bound, memo, lines)
+            elem = self.emit(expr.elem, bound, memo, lines)
+            code = f"(list({lst}) + [{elem}])"
+        elif isinstance(expr, MakeTuple):
+            code = _tuple([self.emit(item, bound, memo, lines) for item in expr.items])
+        elif isinstance(expr, Proj):
+            tup = self.emit(expr.tup, bound, memo, lines)
+            code = f"_proj({tup}, {expr.index}, {self.string(repr(expr))})"
+        elif isinstance(expr, Lambda):
+            # Value position: arity-guarded like the interpreter's Closure.
+            code = f"_lam({len(expr.params)}, {self._lambda(expr, bound)})"
+        elif isinstance(expr, Hole):
             raise IRCompileError(f"cannot compile sketch hole {expr!r}")
-        raise IRCompileError(f"unhandled node {type(expr).__name__}")
+        else:
+            raise IRCompileError(f"unhandled node {type(expr).__name__}")
+        if lines is None:
+            return code
+        temp = self.fresh()
+        lines.append(f"{temp} = {code}")
+        memo[expr] = temp
+        return temp
 
-    # -- shared pieces -----------------------------------------------------
-
-    def _apply(self, func, args: list, bound: frozenset[str], memo: dict | None) -> str:
+    def _apply(self, func, args: list, bound: frozenset[str]) -> str:
         """A ``Call`` whose arguments are already emitted (func is a builtin
-        name or a Lambda; the Var case is handled by the callers because its
-        check/evaluation order differs between contexts)."""
+        name or a Lambda; a Var callee is resolved by :meth:`_callee`
+        before its arguments)."""
         arglist = ", ".join(args)
         if isinstance(func, str):
             if len(args) == 2:
@@ -831,107 +778,83 @@ class _Codegen:
         # A binder scope: the memo is dropped (parameters may shadow the
         # names memoized temporaries were computed under).
         params = ", ".join(self.mangle(p) for p in lam.params)
-        body = self.emit(lam.body, bound | frozenset(lam.params), None)
+        body = self.emit(lam.body, bound | frozenset(lam.params))
         return f"(lambda {params}: {body})" if params else f"(lambda: {body})"
 
-    def _callable(self, func, bound: frozenset[str]) -> str:
-        """The ``func`` position of Map/Filter/Fold as a Python expression
-        evaluating to a callable (for the non-inlinable forms)."""
+    def _callee(self, func, bound: frozenset[str], lines: list | None) -> str:
+        """A non-lambda function position (a Var callee, Map/Filter/Fold) as
+        code evaluating to a callable: a builtin's impl, or an env-provided
+        value behind the interpreter's callable check — hoisted into a
+        temporary in statement context."""
         if isinstance(func, str):
             return self.builtin(func)
-        if isinstance(func, Var):
-            if func.name not in bound:
-                raise IRCompileError(f"unbound variable {func.name!r}")
-            return f"_env_fn({self.mangle(func.name)}, {func.name!r})"
-        raise IRCompileError(f"cannot apply {func!r}")
+        if not isinstance(func, Var):
+            raise IRCompileError(f"cannot apply {func!r}")
+        if func.name not in bound:
+            raise IRCompileError(f"unbound variable {func.name!r}")
+        code = f"_env_fn({self.mangle(func.name)}, {func.name!r})"
+        if lines is None:
+            return code
+        temp = self.fresh("_f")
+        lines.append(f"{temp} = {code}")
+        return temp
 
-    def _combinator(
-        self,
-        func,
-        lst: Expr,
-        bound: frozenset[str],
-        memo: dict | None,
-        *,
-        filtering: bool,
-        lines: list | None = None,
-    ) -> str:
-        """Map/Filter as a comprehension.  With ``lines`` (statement
-        context) the list — and, for an env-provided function, the callable
-        check that precedes it — is hoisted; otherwise everything inlines."""
-        if isinstance(func, Var) and lines is not None:
-            callee = self._hoist_env_fn(func, bound, lines)
-            lst_code = self.emit_stmts(lst, bound, lines, memo)
-            return self._comp_with_callee(callee, lst_code, filtering)
-        if lines is not None and not isinstance(func, Lambda):
-            # Builtin callee: resolved at compile time, order-free.
-            callee = self._callable(func, bound)
-            lst_code = self.emit_stmts(lst, bound, lines, memo)
-            return self._comp_with_callee(callee, lst_code, filtering)
-        lst_code = (
-            self.emit_stmts(lst, bound, lines, memo)
-            if lines is not None
-            else self.emit(lst, bound, memo)
-        )
+    def _combinator(self, expr, bound: frozenset[str], memo: dict | None, lines) -> str:
+        """Map/Filter as a comprehension.  A builtin or env-provided callee
+        is resolved (and checked) before the list is evaluated, matching the
+        interpreter's ``_eval_function`` order; a lambda is inlined."""
+        func = expr.func
+        var = self.fresh()
+        callee = fn = None
         if isinstance(func, Lambda):
+            lst = self.emit(expr.lst, bound, memo, lines)
             if len(func.params) == 1:
-                param = self.mangle(func.params[0])
-                body = self.emit(func.body, bound | frozenset(func.params), None)
-                if filtering:
-                    return f"[{param} for {param} in {lst_code} if {body}]"
-                return f"[{body} for {param} in {lst_code}]"
-            # Wrong arity: the interpreter raises when the closure is first
-            # invoked — i.e. per element, so an empty list still maps to [].
-            it = self.fresh()
-            fail = f"_arity({len(func.params)}, ({it},))"
-            if filtering:
-                return f"[{it} for {it} in {lst_code} if {fail}]"
-            return f"[{fail} for {it} in {lst_code}]"
-        # Expression context with a builtin/env callee: evaluate (and check)
-        # the callee before the list, matching _eval_function order.
-        callee = self._callable(func, bound)
-        fn = self.fresh("_f")
-        it = self.fresh()
-        if filtering:
-            comp = f"[{it} for {it} in {lst_code} if {fn}({it})]"
+                var = self.mangle(func.params[0])
+                value = self.emit(func.body, bound | frozenset(func.params))
+            else:
+                # Wrong arity: the interpreter raises when the closure is
+                # first invoked — per element, so [] still maps to [].
+                value = f"_arity({len(func.params)}, ({var},))"
         else:
-            comp = f"[{fn}({it}) for {it} in {lst_code}]"
+            callee = self._callee(func, bound, lines)
+            lst = self.emit(expr.lst, bound, memo, lines)
+            # An inline env check binds through a lambda parameter so that
+            # it runs once, before the list.
+            fn = callee if _is_simple(callee) else self.fresh("_f")
+            value = f"{fn}({var})"
+        if isinstance(expr, Filter):
+            comp = f"[{var} for {var} in {lst} if {value}]"
+        else:
+            comp = f"[{value} for {var} in {lst}]"
+        if fn == callee:  # a lambda, or a callee that is already a name
+            return comp
         return f"(lambda {fn}: {comp})({callee})"
-
-    def _comp_with_callee(self, callee: str, lst_code: str, filtering: bool) -> str:
-        it = self.fresh()
-        if filtering:
-            return f"[{it} for {it} in {lst_code} if {callee}({it})]"
-        return f"[{callee}({it}) for {it} in {lst_code}]"
-
-    def _fold_callee(
-        self,
-        func,
-        bound: frozenset[str],
-        memo: dict | None,
-        lines: list | None = None,
-    ) -> str:
-        if isinstance(func, Lambda):
-            if len(func.params) == 2:
-                return self._lambda(func, bound)
-            args = self.fresh("_a")
-            return f"(lambda *{args}: _arity({len(func.params)}, {args}))"
-        if isinstance(func, Var) and lines is not None:
-            # Statement context: the callable check precedes init/list.
-            return self._hoist_env_fn(func, bound, lines)
-        return self._callable(func, bound)
 
     # -- finalization ------------------------------------------------------
 
-    def build(self, source: str, entry: str, what: str) -> Callable:
+    def build(self, source: str, entries: Sequence[str], what: str) -> list[Callable]:
+        """Exec ``source`` once and return its ``entries`` functions."""
         try:
             code = compile(source, f"<repro-jit:{what}>", "exec")
         except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
             raise IRCompileError(f"generated source rejected for {what}: {exc}") from None
         namespace: dict = {}
         exec(code, self.globals, namespace)
-        fn = namespace[entry]
-        fn.__repro_source__ = source  # introspection / debugging
-        return fn
+        fns = [namespace[entry] for entry in entries]
+        for fn in fns:
+            fn.__repro_source__ = source  # introspection / debugging
+        return fns
+
+
+def _tuple(items: Sequence[str]) -> str:
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
+
+
+def _indent(lines: Sequence[str], depth: int) -> list[str]:
+    pad = "    " * depth
+    return [pad + line for line in lines]
 
 
 def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Callable:
@@ -945,18 +868,19 @@ def compile_expr(expr: Expr, params: Sequence[str], name: str = "expr") -> Calla
     """
     cg = _Codegen()
     arglist = ", ".join(cg.mangle(p) for p in params)
-    lines: list[str] = [f"def _compiled({arglist}):"]
+    body: list[str] = []
     try:
-        result = cg.emit_stmts(expr, frozenset(params), lines, {})
+        result = cg.emit(expr, frozenset(params), {}, body)
     except RecursionError:
         raise IRCompileError(f"expression too deep to compile: {name}") from None
-    lines.append(f"    return {result}")
-    return cg.build("\n".join(lines) + "\n", "_compiled", name)
+    lines = [f"def _compiled({arglist}):", *_indent([*body, f"return {result}"], 1)]
+    (fn,) = cg.build("\n".join(lines) + "\n", ["_compiled"], name)
+    return fn
 
 
 def _extras_of(program: OnlineProgram) -> tuple[list[str], set[str], list[str]]:
-    """Extra-parameter analysis shared by the scalar and batch compilers:
-    ``(all extras, list-typed extras, eagerly-fetched extras)``.
+    """Extra-parameter analysis of an online program: ``(all extras,
+    list-typed extras, eagerly-fetched extras)``.
 
     Extras every step is guaranteed to look up can be fetched once in a
     prologue; extras referenced only in conditionally evaluated positions
@@ -981,87 +905,10 @@ def _extras_of(program: OnlineProgram) -> tuple[list[str], set[str], list[str]]:
     return all_extras, list_extras, eager_extras
 
 
-def _emit_extra_fetch(
-    cg: _Codegen,
-    eager_extras: Sequence[str],
-    list_extras: set[str],
-    lines: list,
-    indent: int,
-) -> None:
-    """Prologue fetch of eagerly-bound extras, with the interpreter's
-    unbound-name error on a missing binding (or a ``None`` mapping)."""
-    pad = " " * indent
-    for extra_name in eager_extras:
-        kind = "list variable" if extra_name in list_extras else "variable"
-        lines.append(f"{pad}try:")
-        lines.append(f"{pad}    {cg.mangle(extra_name)} = _extra[{extra_name!r}]")
-        lines.append(f"{pad}except (KeyError, TypeError):")
-        lines.append(f"{pad}    raise EvaluationError(\"unbound {kind} {extra_name!r}\") from None")
-
-
-def _emit_outputs(
-    cg: _Codegen, program: OnlineProgram, eager_extras: Sequence[str], lines: list, name: str
-) -> list[str]:
-    """CSE'd statement-context emission of all outputs; returns the output
-    references (one per new state component)."""
-    all_bound = frozenset(program.state_params) | {program.elem_param} | frozenset(eager_extras)
-    memo: dict = {}
-    try:
-        return [cg.emit_stmts(out, all_bound, lines, memo) for out in program.outputs]
-    except RecursionError:
-        raise IRCompileError(f"online program too deep to compile: {name}") from None
-
-
-def _state_tuple(state_vars: Sequence[str]) -> str:
-    if not state_vars:
-        return "()"
-    if len(state_vars) == 1:
-        return f"({state_vars[0]},)"
-    return f"({', '.join(state_vars)})"
-
-
-def compile_online_step(program: OnlineProgram, name: str = "step") -> Callable:
-    """Compile an online program into ``step(state, element, extra=None)``.
-
-    A drop-in replacement for
-    ``lambda s, x, e=None: step_online(program, s, x, e)`` — same results,
-    same ``EvaluationError`` on a state-arity mismatch or a missing extra
-    binding — with the per-element interpretation replaced by one native
-    closure call.  Subexpressions shared between outputs (ubiquitous in
-    synthesized schemes) are evaluated once per step.
-    """
-    cg = _Codegen()
-    arity = program.arity
-    all_extras, list_extras, eager_extras = _extras_of(program)
-    cg.lazy_extras = frozenset(all_extras) - frozenset(eager_extras)
-
-    lines = ["def _compiled_step(_state, _elem, _extra=None):"]
-    lines.append(f"    if len(_state) != {arity}:")
-    lines.append(
-        "        raise EvaluationError("
-        f"f\"online program expects {arity} state values, got {{len(_state)}}\")"
-    )
-    if arity == 1:
-        lines.append(f"    ({cg.mangle(program.state_params[0])},) = _state")
-    elif arity:
-        unpack = ", ".join(cg.mangle(p) for p in program.state_params)
-        lines.append(f"    {unpack} = _state")
-    _emit_extra_fetch(cg, eager_extras, list_extras, lines, 4)
-    # The element binds last: it shadows a state parameter of the same name,
-    # exactly like env[elem_param] = element in step_online.
-    lines.append(f"    {cg.mangle(program.elem_param)} = _elem")
-    outputs = _emit_outputs(cg, program, eager_extras, lines, name)
-    if len(outputs) == 1:
-        lines.append(f"    return ({outputs[0]},)")
-    else:
-        lines.append(f"    return ({', '.join(outputs)})")
-    return cg.build("\n".join(lines) + "\n", "_compiled_step", name)
-
-
-def _check_batchable(program: OnlineProgram, what: str) -> None:
-    """Batch compilation keeps state components in named locals across the
-    loop; two program shapes break that invariant and are declined (the
-    scalar closure driven by the generic loop reproduces them exactly):
+def _batchable(program: OnlineProgram) -> bool:
+    """The batch loop keeps state components in named locals across the
+    chunk; two program shapes break that invariant and get no kernel (the
+    scalar step driven by the generic loop reproduces them exactly):
 
     * an element parameter shadowing a state parameter — the loop target
       would clobber the pre-element state a mid-batch failure must report;
@@ -1069,90 +916,103 @@ def _check_batchable(program: OnlineProgram, what: str) -> None:
       state arity — the name-addressed locals could not represent the
       positional state tuple the scalar step returns.
     """
-    if program.elem_param in program.state_params:
-        raise IRCompileError(
-            f"{what}: element parameter {program.elem_param!r} shadows a "
-            "state parameter; batch compilation declined"
-        )
-    if len(set(program.state_params)) != program.arity:
-        raise IRCompileError(f"{what}: duplicate state parameters; batch compilation declined")
-    if len(program.outputs) != program.arity:
-        raise IRCompileError(
-            f"{what}: {len(program.outputs)} outputs for arity "
-            f"{program.arity}; batch compilation declined"
-        )
+    return (
+        program.elem_param not in program.state_params
+        and len(set(program.state_params)) == program.arity
+        and len(program.outputs) == program.arity
+    )
 
 
-def compile_step_batch(program: OnlineProgram, name: str = "batch") -> StepKernel:
-    """Compile the whole batch loop of an online program into one closure:
-    ``run(state, elements, extra=None) -> (final_state, consumed)``.
+def compile_online(
+    program: OnlineProgram, name: str = "step"
+) -> tuple[Callable, StepKernel | None]:
+    """Compile an online program into its two entries, ``(step, kernel)``,
+    rendered from one CSE'd step body into one generated module:
 
-    Where :func:`compile_online_step` produces a scalar closure re-entered
-    from interpreted Python once per element — paying a call, a state-tuple
-    unpack, and a result-tuple pack each time — the kernel generated here
-    compiles the *loop*: state components live in Python locals across the
-    entire chunk, eager extra-parameter lookups are hoisted to the first
-    loop iteration — once per batch, since extras cannot change mid-batch,
-    and never for an empty batch, which must not look extras up — and the
-    already-CSE'd step body is inlined in the loop.  Per-element state updates are a single tuple
-    assignment, so they are atomic: when an element raises, the exception
-    carries the state after the last fully-applied element
-    (:func:`kernel_partial`), exactly the partial progress a per-element
-    loop preserves.
+    * ``step(state, element, extra=None)`` — a drop-in replacement for
+      ``lambda s, x, e=None: step_online(program, s, x, e)``, with the same
+      results and the same ``EvaluationError`` on a state-arity mismatch or
+      a missing extra binding;
+    * a :class:`StepKernel` whose ``run(state, elements, extra=None)``
+      compiles the batch *loop*: state components live in Python locals
+      across the chunk, eager extra lookups run on the first iteration —
+      once per batch, and never for an empty batch, which must not look
+      extras up — and the step body is inlined in the loop.  Per-element
+      state updates are one tuple assignment, so when an element raises
+      the exception carries the state after the last fully-applied element
+      (:func:`kernel_partial`), exactly what a per-element loop keeps.
 
-    Results are bit-for-bit identical to folding the scalar step — same
-    values, same types, same exception classes at the same elements.
-    Raises :class:`IRCompileError` for programs the loop transformation
-    cannot represent (see :func:`_check_batchable`); callers fall back to
-    :meth:`StepKernel.from_step` over the resolved scalar step.
+    Both agree bit-for-bit with the interpreter.  ``kernel`` is ``None``
+    for shapes the loop cannot represent (see :func:`_batchable`); callers
+    then drive ``step`` from :meth:`StepKernel.from_step`.  Raises
+    :class:`IRCompileError` when the step itself cannot be compiled.
     """
-    _check_batchable(program, name)
     cg = _Codegen()
     arity = program.arity
     all_extras, list_extras, eager_extras = _extras_of(program)
     cg.lazy_extras = frozenset(all_extras) - frozenset(eager_extras)
     state_vars = [cg.mangle(p) for p in program.state_params]
-    state_tuple = _state_tuple(state_vars)
+    elem = cg.mangle(program.elem_param)
 
-    lines = ["def _compiled_batch(_state, _elems, _extra=None):"]
-    lines.append("    _n = 0")
-    lines.append("    try:")
-    # The loop target *is* the element binding (no per-element rebind);
-    # _check_batchable guarantees it cannot clobber a state local.
-    lines.append(f"        for {cg.mangle(program.elem_param)} in _elems:")
-    # The whole prologue — arity check, state unpack, eager extras — runs
-    # on the FIRST iteration, not above the loop: an empty batch must
-    # touch neither the state shape nor the extras (a per-element loop
-    # never would, so jit on and off must agree on it), while a non-empty
-    # one fails on element 0 before its step body — exactly like the
-    # scalar closure's prologue.
-    lines.append("            if not _n:")
-    lines.append(f"                if len(_state) != {arity}:")
-    lines.append(
-        "                    raise EvaluationError("
-        f"f\"online program expects {arity} state values, got {{len(_state)}}\")"
-    )
-    if arity == 1:
-        lines.append(f"                ({state_vars[0]},) = _state")
-    elif arity:
-        lines.append(f"                {', '.join(state_vars)} = _state")
-    _emit_extra_fetch(cg, eager_extras, list_extras, lines, 16)
-    body: list[str] = []
-    outputs = _emit_outputs(cg, program, eager_extras, body, name)
-    lines.extend("        " + line for line in body)
+    prologue = [
+        f"if len(_state) != {arity}:",
+        "    raise EvaluationError("
+        f"f\"online program expects {arity} state values, got {{len(_state)}}\")",
+    ]
     if arity:
-        # One tuple assignment: the RHS is fully evaluated before any state
-        # local changes, so a raising subexpression leaves the previous
-        # element's state intact for the partial-progress record.
-        lines.append(f"            {', '.join(state_vars)} = {', '.join(outputs)}")
-    lines.append("            _n += 1")
-    # With no element applied the state locals are unbound (the prologue is
-    # first-iteration): pass the input state through unchanged, exactly as
-    # the generic step loop does.
-    lines.append("    except BaseException as _exc:")
-    lines.append(f"        _record_partial(_exc, {state_tuple} if _n else _state, _n)")
-    lines.append("        raise")
-    lines.append(f"    return ({state_tuple} if _n else _state, _n)")
-    cg.globals["_record_partial"] = _record_partial
-    fn = cg.build("\n".join(lines) + "\n", "_compiled_batch", name)
-    return StepKernel(fn, compiled=True, name=name)
+        prologue.append(f"{_tuple(state_vars)} = _state")
+    # Eager extras, with the interpreter's unbound-name error on a missing
+    # binding (or a None mapping).
+    for extra_name in eager_extras:
+        kind = "list variable" if extra_name in list_extras else "variable"
+        prologue += [
+            "try:",
+            f"    {cg.mangle(extra_name)} = _extra[{extra_name!r}]",
+            "except (KeyError, TypeError):",
+            f"    raise EvaluationError(\"unbound {kind} {extra_name!r}\") from None",
+        ]
+    body: list[str] = []
+    bound = frozenset(program.state_params) | {program.elem_param} | frozenset(eager_extras)
+    memo: dict = {}
+    try:
+        outputs = [cg.emit(out, bound, memo, body) for out in program.outputs]
+    except RecursionError:
+        raise IRCompileError(f"online program too deep to compile: {name}") from None
+
+    # The element binds last: it shadows a state parameter of the same name,
+    # exactly like env[elem_param] = element in step_online.
+    step_body = [*prologue, f"{elem} = _elem", *body, f"return {_tuple(outputs)}"]
+    lines = ["def _compiled_step(_state, _elem, _extra=None):", *_indent(step_body, 1)]
+    entries = ["_compiled_step"]
+    if _batchable(program):
+        state = _tuple(state_vars)
+        # The whole prologue runs on the FIRST iteration, not above the
+        # loop: an empty batch must touch neither the state shape nor the
+        # extras (a per-element loop never would), while a non-empty one
+        # fails on element 0 before its step body, like the scalar step.
+        loop = ["if not _n:", *_indent(prologue, 1), *body]
+        if arity:
+            # One tuple assignment: the RHS is fully evaluated before any
+            # state local changes, so a raising subexpression leaves the
+            # previous element's state intact for the partial record.
+            loop.append(f"{', '.join(state_vars)} = {', '.join(outputs)}")
+        loop.append("_n += 1")
+        # The loop target *is* the element binding (no per-element rebind);
+        # _batchable guarantees it cannot clobber a state local.  With no
+        # element applied the state locals are unbound: the input state
+        # passes through unchanged, as in the generic step loop.
+        lines += [
+            "def _compiled_batch(_state, _elems, _extra=None):",
+            "    _n = 0",
+            "    try:",
+            f"        for {elem} in _elems:",
+            *_indent(loop, 3),
+            "    except BaseException as _exc:",
+            f"        _record_partial(_exc, {state} if _n else _state, _n)",
+            "        raise",
+            f"    return ({state} if _n else _state, _n)",
+        ]
+        entries.append("_compiled_batch")
+        cg.globals["_record_partial"] = _record_partial
+    step, *run = cg.build("\n".join(lines) + "\n", entries, name)
+    return step, (StepKernel(run[0], compiled=True, name=name) if run else None)

@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 from ..core.scheme import OnlineScheme
 from ..ir.values import Value
-from .stream import OnlineOperator
+from .stream import OnlineOperator, check_backend
 
 
 class KeyedOperator:
@@ -44,6 +44,7 @@ class KeyedOperator:
         backend: str | None = None,
         bounds=None,
     ):
+        check_backend(backend)
         self.scheme = scheme
         self.key_fn = key_fn
         self.value_fn = value_fn
@@ -79,7 +80,13 @@ class KeyedOperator:
         """Route one element to its partition; returns ``(key, new value)``."""
         key = self.key_fn(element)
         payload = element if self.value_fn is None else self.value_fn(element)
-        value = self.operator(key).push(payload)
+        created = key not in self.partitions
+        try:
+            value = self.operator(key).push(payload)
+        except BaseException:
+            if created:  # as in push_many: a failed first element leaves no partition
+                self.partitions.pop(key, None)
+            raise
         self.count += 1  # only after a successful step, as OnlineOperator does
         return key, value
 

@@ -82,8 +82,10 @@ class OnlineOperator:
         self._bounds = bounds
         if jit is None:
             jit = jit_enabled()  # one environment read for all three lookups
-        self._step = scheme._resolve_step(jit)
+        # Kernel first: it builds the module both entries share, so a trace
+        # of compiled_kernel sees the whole compile and the step is a hit.
         self._kernel = scheme._resolve_kernel(jit)
+        self._step = scheme._resolve_step(jit)
         self._columnar_float = False
         if backend in ("auto", "columnar"):
             columnar = scheme.compiled_columns(

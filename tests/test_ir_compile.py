@@ -36,7 +36,7 @@ from repro.ir.compile import (
     _fast_neg,
     _fast_sub,
     compile_expr,
-    compile_online_step,
+    compile_online,
     jit_enabled,
 )
 from repro.ir.builtins import get_builtin
@@ -44,14 +44,18 @@ from repro.ir.evaluator import EvaluationError, evaluate, step_online
 from repro.ir.nodes import (
     Call,
     Const,
+    Filter,
+    Fold,
     Hole,
     If,
     Lambda,
+    Let,
     ListVar,
     MakeTuple,
     Map,
     OnlineProgram,
     Proj,
+    Snoc,
     Var,
 )
 from repro.runtime import KeyedOperator, OnlineOperator
@@ -138,6 +142,11 @@ class TestGroundTruthSchemes:
                 stream = [(v, 1) for v in stream]
             extra = {p: 0 for p in bench.ground_truth.program.extra_params}
             run_differential(bench.ground_truth, stream, extra)
+
+    def test_step_and_kernel_come_from_one_module(self):
+        for bench in all_benchmarks():
+            scheme = OnlineScheme.loads(bench.ground_truth.dumps())  # cold cache
+            assert scheme.compiled_step().__repro_source__ == scheme.compiled_kernel().source
 
     def test_scheme_step_uses_compiled_by_default(self):
         scheme = get_benchmark("variance").ground_truth
@@ -248,9 +257,22 @@ _UNOPS = ("neg", "abs", "sqrt", "not", "sign")
 _PREDICATES = ("lt", "le", "gt", "ge", "eq", "ne", "and", "or")
 
 
-def random_candidate(rng: random.Random, names, depth: int):
+#: The list-typed parameter the combinators range over, and the
+#: env-provided callee (a callable or not, depending on the environment).
+_LIST_PARAM = "xs"
+_FN_PARAM = "f"
+
+
+def random_candidate(rng: random.Random, names, depth: int, fns=(_FN_PARAM,)):
     """Random expressions over the online-candidate grammar (the population
-    ``check_expr_equivalence`` compiles: no lambdas, no combinators)."""
+    ``check_expr_equivalence`` compiles) plus the binder and combinator
+    forms: ``Let``, lambdas in every function position (sometimes of the
+    wrong arity, sometimes shadowing an outer name), ``Map``/``Filter``/
+    ``Fold`` over the list parameter, and ``Var`` callees (``f`` and
+    Let-bound lambdas).  ``names`` are the value names in scope, ``fns``
+    the callable ones.  Lambdas appear only in function positions: as a
+    result value the interpreter's Closure would never compare equal to a
+    compiled function."""
     if depth <= 0 or rng.random() < 0.3:
         roll = rng.random()
         if roll < 0.55:
@@ -261,21 +283,70 @@ def random_candidate(rng: random.Random, names, depth: int):
             return Const(rng.choice((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 1))))
         return Const(rng.choice((True, False)))
     roll = rng.random()
-    sub = lambda: random_candidate(rng, names, depth - 1)  # noqa: E731
-    if roll < 0.45:
+    sub = lambda: random_candidate(rng, names, depth - 1, fns)  # noqa: E731
+    if roll < 0.3:
         return Call(rng.choice(_BINOPS), (sub(), sub()))
-    if roll < 0.6:
+    if roll < 0.4:
         return Call(rng.choice(_UNOPS), (sub(),))
-    if roll < 0.75:
+    if roll < 0.5:
         return If(Call(rng.choice(_PREDICATES), (sub(), sub())), sub(), sub())
-    if roll < 0.85:
+    if roll < 0.57:
         return MakeTuple((sub(), sub()))
-    return Proj(sub(), rng.randint(0, 2))
+    if roll < 0.63:
+        return Proj(sub(), rng.randint(0, 2))
+    if roll < 0.72:
+        if rng.random() < 0.3:
+            value = _random_lambda(rng, names, depth, fns, rng.randint(1, 2))
+            return Let("g", value, random_candidate(rng, names, depth - 1, fns + ("g",)))
+        name = rng.choice(("v", "y2"))  # "y2" shadows a parameter
+        body_names = names if name in names else names + (name,)
+        return Let(name, sub(), random_candidate(rng, body_names, depth - 1, fns))
+    if roll < 0.8:
+        args = tuple(sub() for _ in range(rng.randint(1, 2)))
+        return Call(_random_fn(rng, names, depth, fns, len(args)), args)
+    lst = random_list(rng, names, depth - 1, fns)
+    if roll < 0.88:
+        return Fold(_random_fn(rng, names, depth, fns, 2), sub(), lst)
+    if roll < 0.94:
+        return Call("length", (lst,))
+    return lst
+
+
+def random_list(rng: random.Random, names, depth: int, fns):
+    """A list-typed expression over the list parameter."""
+    if depth <= 0 or rng.random() < 0.3:
+        return ListVar(_LIST_PARAM)
+    inner = random_list(rng, names, depth - 1, fns)
+    roll = rng.random()
+    if roll < 0.4:
+        return Map(_random_fn(rng, names, depth, fns, 1), inner)
+    if roll < 0.8:
+        return Filter(_random_fn(rng, names, depth, fns, 1), inner)
+    return Snoc(inner, random_candidate(rng, names, depth - 1, fns))
+
+
+def _random_fn(rng: random.Random, names, depth: int, fns, arity: int):
+    """A non-builtin function position applied to ``arity`` arguments: a
+    callable-valued variable or a lambda (the IR's combinator forms)."""
+    if rng.random() < 0.25:
+        return Var(rng.choice(fns))
+    if rng.random() < 0.15:  # applied with the wrong arity
+        arity = rng.choice([n for n in (0, 1, 2, 3) if n != arity])
+    return _random_lambda(rng, names, depth, fns, arity)
+
+
+def _random_lambda(rng: random.Random, names, depth: int, fns, arity: int):
+    params = tuple(rng.sample(("p", "q", "y1"), arity))  # "y1" shadows
+    body_names = names + tuple(p for p in params if p not in names)
+    return Lambda(params, random_candidate(rng, body_names, depth - 1, fns))
 
 
 def random_env(rng: random.Random, names):
     pool = (0, 1, -2, Fraction(1, 3), Fraction(-7, 2), Fraction(4, 2), (1, 2), True)
-    return {name: rng.choice(pool) for name in names}
+    env = {name: rng.choice(pool) for name in names}
+    env[_LIST_PARAM] = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    env[_FN_PARAM] = rng.choice((get_builtin("neg").impl, get_builtin("max").impl, 3))
+    return env
 
 
 @pytest.mark.parametrize("seed", [2024, 2025, 2026])
@@ -285,13 +356,14 @@ def test_random_candidates_differential(seed):
     interpreter on every environment."""
     rng = random.Random(seed)
     names = ("y1", "y2", "x")
+    params = names + (_LIST_PARAM, _FN_PARAM)
     envs = [random_env(rng, names) for _ in range(8)]
     checked = 0
     while checked < 200:
         expr = random_candidate(rng, names, rng.randint(1, 4))
-        fn = compile_expr(expr, names, name=f"candidate:{seed}:{checked}")
+        fn = compile_expr(expr, params, name=f"candidate:{seed}:{checked}")
         for env in envs:
-            args = [env[n] for n in names]
+            args = [env[n] for n in params]
             try:
                 expected = evaluate(expr, env)
                 raised = None
@@ -304,6 +376,41 @@ def test_random_candidates_differential(seed):
                 with pytest.raises(raised):
                     fn(*args)
         checked += 1
+
+
+def test_binder_scopes_and_callee_order_in_both_contexts():
+    """Shapes the random grammar rarely hits, each compiled in statement
+    context (top level) and expression context (an If branch): a binder
+    shadowing a name inside an already-CSE'd subexpression must not reuse
+    the outer temporary, and an env callee is checked before its list is
+    evaluated (even an empty one)."""
+    y1_plus_1 = Call("add", (Var("y1"), Const(1)))
+    cases = [
+        MakeTuple((y1_plus_1, Let("y1", Const(10), y1_plus_1))),
+        MakeTuple((y1_plus_1, Map(Lambda(("y1",), y1_plus_1), ListVar("xs")))),
+        MakeTuple((y1_plus_1, Fold(Lambda(("y1", "p"), y1_plus_1), Const(0), ListVar("xs")))),
+        Map(Var("f"), ListVar("xs")),
+        Filter(Var("f"), Snoc(ListVar("xs"), Proj(Var("y1"), 0))),
+        Fold(Var("f"), Proj(Var("y1"), 0), ListVar("xs")),
+    ]
+    params = ("y1", "xs", "f")
+    envs = [
+        {"y1": y1, "xs": xs, "f": f}
+        for y1 in (0, Fraction(1, 3))
+        for xs in ([], [1, Fraction(-1, 2)])
+        for f in (get_builtin("neg").impl, 3)
+    ]
+    for case in cases:
+        for expr in (case, If(Var("y1"), Const(0), case)):
+            fn = compile_expr(expr, params)
+            for env in envs:
+                try:
+                    expected = evaluate(expr, env)
+                except ORACLE_ERRORS as exc:
+                    with pytest.raises(type(exc)):
+                        fn(*(env[p] for p in params))
+                else:
+                    assert_same_value(expected, fn(*(env[p] for p in params)), repr(expr))
 
 
 def test_oracle_agrees_with_and_without_jit(monkeypatch):
@@ -334,7 +441,7 @@ class TestErrorContract:
             compile_expr(Call("add", (Hole(0), Const(1))), ("x",))
         program = OnlineProgram(("y",), "x", (Hole(0),))
         with pytest.raises(IRCompileError):
-            compile_online_step(program)
+            compile_online(program)
         # ...and the scheme transparently falls back to the interpreter,
         # which raises exactly as it always did.
         scheme = OnlineScheme((0,), program)
@@ -368,7 +475,7 @@ class TestErrorContract:
                 ),
             ),
         )
-        compiled = compile_online_step(program)
+        compiled = compile_online(program)[0]
         # x > 0: both backends succeed without the binding
         assert_same_value(
             step_online(program, (0,), 5, {}), compiled((0,), 5, {}), "taken"

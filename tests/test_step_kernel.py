@@ -18,10 +18,8 @@ import pytest
 
 from repro.core.scheme import OnlineScheme
 from repro.ir.compile import (
-    IRCompileError,
     StepKernel,
-    compile_online_step,
-    compile_step_batch,
+    compile_online,
     kernel_partial,
 )
 from repro.ir.dsl import add, eq, ite
@@ -107,8 +105,7 @@ class TestBatchKernelEquivalence:
     def test_kernel_against_scalar_step_directly(self):
         for bench in ground_truths():
             scheme = bench.ground_truth
-            kernel = compile_step_batch(scheme.program, name=bench.name)
-            step = compile_online_step(scheme.program, name=bench.name)
+            step, kernel = compile_online(scheme.program, name=bench.name)
             elements = stream_for(bench)
             extra = extras_for(scheme)
             state = scheme.initializer
@@ -179,8 +176,7 @@ class TestBatchKernelEquivalence:
         # Element parameter shadowing a state parameter: batch codegen
         # declines, the resolver wraps the scalar step, results still match.
         program = OnlineProgram(("x", "n"), "x", (add("x", "n"), add("n", 1)))
-        with pytest.raises(IRCompileError):
-            compile_step_batch(program)
+        assert compile_online(program)[1] is None
         scheme = OnlineScheme((0, 0), program, provenance="shadowed")
         kernel = scheme._resolve_kernel()
         assert not kernel.compiled
@@ -205,7 +201,7 @@ class TestBatchKernelEquivalence:
     def test_pickle_drops_kernel_cache(self):
         scheme = get_benchmark("variance").ground_truth
         scheme.compiled_kernel()
-        assert "kernel" in scheme._artifacts
+        assert "compiled" in scheme._artifacts
         clone = pickle.loads(pickle.dumps(scheme))
         assert clone._artifacts == {}
         elements = [Fraction(i, 2) for i in range(9)]
@@ -281,10 +277,6 @@ class TestKeyedBatch:
 
     @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
     def test_step_failure_has_per_push_parity(self, jit):
-        # Batch [a:1, b:2, a:boom, b:4]: the step raises on key a's second
-        # payload (global element index 2).  Per-push parity: b's later
-        # element 4 must NOT be consumed even though b's group drains
-        # independently, and count must stay a resumable stream offset.
         scheme = OnlineScheme(
             (0,),
             OnlineProgram(
@@ -293,21 +285,33 @@ class TestKeyedBatch:
             ),
             provenance="boom-at-99",
         )
-        events = [("a", 1), ("b", 2), ("a", 99), ("b", 4), ("c", 5)]
-        batched = KeyedOperator(
-            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
-        )
-        with pytest.raises(EvaluationError):
-            batched.push_many(events)
-        stepped = KeyedOperator(
-            scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
-        )
-        with pytest.raises(EvaluationError):
-            for event in events:
-                stepped.push(event)
-        assert batched.snapshot() == stepped.snapshot() == {"a": 1, "b": 2}
-        assert batched.count == stepped.count == 2
-        assert list(batched.partitions) == ["a", "b"]  # no 'c' partition
+        cases = [
+            # The step raises on key a's second payload (global element
+            # index 2).  Per-push parity: b's later element 4 must NOT be
+            # consumed even though b's group drains independently, and
+            # count must stay a resumable stream offset.
+            ([("a", 1), ("b", 2), ("a", 99), ("b", 4), ("c", 5)], {"a": 1, "b": 2}),
+            # A new key whose first element fails leaves no partition (no
+            # count == 0 entry in snapshots or checkpoints), either way.
+            ([("a", 1), ("b", 99), ("a", 3)], {"a": 1}),
+        ]
+        for events, expected in cases:
+            batched = KeyedOperator(
+                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+            )
+            with pytest.raises(EvaluationError):
+                batched.push_many(events)
+            stepped = KeyedOperator(
+                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+            )
+            with pytest.raises(EvaluationError):
+                for event in events:
+                    stepped.push(event)
+            assert batched.snapshot() == stepped.snapshot() == expected
+            failed_at = [payload for _, payload in events].index(99)
+            assert batched.count == stepped.count == failed_at
+            assert list(batched.partitions) == list(stepped.partitions) == list(expected)
+            assert batched.checkpoint() == stepped.checkpoint()
 
     @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
     def test_checkpoint_resume_with_batches(self, tmp_path, jit):

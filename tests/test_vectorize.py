@@ -138,9 +138,13 @@ class TestAdmission:
         assert admission.verdict == "certified-int64"
 
     def test_unknown_backend_rejected(self):
+        # Both operators refuse at construction, not at the first push that
+        # builds a partition.
         scheme = get_benchmark("sum").ground_truth
         with pytest.raises(ValueError):
             OnlineOperator(scheme, backend="vectorized")
+        with pytest.raises(ValueError):
+            KeyedOperator(scheme, key_fn=lambda e: e, backend="vectorized")
 
 
 @needs_numpy
