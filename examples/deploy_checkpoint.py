@@ -13,11 +13,11 @@ The production lifecycle this repo is built around, end to end:
 
 Execution backend note: operators run the scheme's *compiled* step (a
 native Python closure generated by `repro.ir.compile`, 5-25x faster per
-element than tree-walking) unless `REPRO_JIT=0` is set.  Checkpoints store
-only the scheme and its state — never compiled code — so a restored
-operator recompiles lazily on its first push, and results are bit-for-bit
-identical either way (the backends are differential-tested against each
-other).
+element than tree-walking) unless built with `backend="interpreted"`
+(`--backend interpreted` on the CLI).  Checkpoints store only the scheme
+and its state — never compiled code — so a restored operator recompiles
+lazily on its first push, and results are bit-for-bit identical either way
+(the backends are differential-tested against each other).
 
 Run:  python examples/deploy_checkpoint.py
 """

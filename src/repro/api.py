@@ -159,8 +159,8 @@ class CompiledScheme:
         as the original batch function, computed in O(1) memory.  The whole
         stream is folded by the scheme's compiled batch
         :class:`~repro.ir.compile.StepKernel` (one generated loop, not one
-        closure call per element); ``REPRO_JIT=0`` falls back to the
-        interpreter-driven loop with identical results."""
+        closure call per element); an uncompilable program falls back to
+        the interpreter-driven loop with identical results."""
         return self.scheme.final(stream, extra)
 
 

@@ -37,15 +37,14 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
       python -m repro serve s.json --source zipf-keys:20000:50 --key-field 1 \
           --value-field 0 --shards 4 --checkpoint-dir ckpts --checkpoint-every 1000
       python -m repro serve s.json --source bids:5000 --key-field 1 \
-          --shards 2 --checkpoint-dir ckpts --kill-shard 0:2500 --verify
+          --shards 2 --checkpoint-dir ckpts --fault kill:0:2500 --verify
 
-  ``--kill-shard S:AFTER`` SIGKILLs shard S's worker after AFTER elements
-  (fault injection); ``--fault SPEC`` injects the full grammar of
-  :mod:`repro.faults` (``kill:S:AFTER``, ``stall:S:AFTER[:SECS]``,
-  ``corrupt-checkpoint:S:GEN``, ``torn-write:NTH``, ``poison:OFFSET``);
-  ``--verify`` replays the stream through a single-process
-  ``KeyedOperator`` and fails unless the states match bit for bit (use a
-  fresh --checkpoint-dir).  ``--on-error quarantine`` retries a
+  ``--fault SPEC`` injects the fault grammar of :mod:`repro.faults`
+  (``kill:S:AFTER`` SIGKILLs shard S's worker after AFTER elements,
+  ``stall:S:AFTER[:SECS]``, ``corrupt-checkpoint:S:GEN``,
+  ``torn-write:NTH``, ``poison:OFFSET``); ``--verify`` replays the stream
+  through a single-process ``KeyedOperator`` and fails unless the states
+  match bit for bit (use a fresh --checkpoint-dir).  ``--on-error quarantine`` retries a
   deterministically failing element once and dead-letters it to
   ``deadletter-NN.jsonl`` instead of halting (default ``fail`` preserves
   the bit-identity contract).  A checkpoint directory from a previous
@@ -112,8 +111,8 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
   parallel report differs from its sequential twin, and gates on
   ``--assert-speedup`` (:mod:`repro.evaluation.hole_bench`).  Throughput
   of the runtime and serve tiers is measured by the repository benchmark,
-  ``python3 perfbench/run.py``; deployment runs take ``--no-jit`` on
-  ``repro run`` (or ``REPRO_JIT=0``) to force the interpreter.
+  ``python3 perfbench/run.py``; ``repro run`` and ``repro serve`` take
+  ``--backend interpreted`` to force the interpreter.
 
   Runs shard (solver, benchmark) tasks over ``--workers`` processes with
   hard wall-clock kills, and reuse cached per-task results from previous
@@ -139,6 +138,7 @@ from .baselines import SOLVERS, OperaFull, OperaNoDecomp, OperaNoSymbolic
 from .core import SynthesisConfig, synthesize
 from .core.scheme import OnlineScheme
 from .core.serialize import SchemeFormatError
+from .diskstore import atomic_write
 from .evaluation import (
     ResultCache,
     ascii_cdf,
@@ -451,22 +451,11 @@ def _parse_extra(pairs: list[str] | None) -> dict:
     return extra
 
 
-def _preflight_analyze(
-    scheme: OnlineScheme,
-    scheme_path: str,
-    source_spec: str | None,
-    max_elements: int | None,
-) -> int:
+def _preflight_analyze(scheme: OnlineScheme, scheme_path: str, bounds) -> int:
     """Static-analysis gate run by ``repro run`` / ``repro serve`` before
     deploying a scheme.  Only an ``error`` verdict (the scheme *will* fault)
     refuses deployment; warnings print one line and proceed.  Returns the
     exit code to propagate, or 0 to continue."""
-    from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
-
-    try:
-        bounds = bounds_from_spec(source_spec, max_elements) if source_spec else UNKNOWN_BOUNDS
-    except ValueError:
-        bounds = UNKNOWN_BOUNDS  # unknown source: analyze structure-only
     # No witness search here: errors come from the well-formedness audit,
     # which needs no stream; preflight must not cost a stream replay.
     report = scheme.analyze(bounds, name=scheme_path, search_witness=False)
@@ -490,17 +479,47 @@ def _preflight_analyze(
     return 0
 
 
-def _spec_analysis_bounds(source_spec: str | None, max_elements: int | None):
-    """Bounds for columnar admission, from the CLI's source spec (or
-    ``UNKNOWN_BOUNDS`` when the spec names an open-ended source)."""
+def _open_deployment(args: argparse.Namespace):
+    """The front half ``repro run`` and ``repro serve`` share: load the
+    scheme, check ``--max-elements``, parse the source and ``--extra``, run
+    the preflight and bound the stream.  Returns ``(scheme, stream, extra,
+    bounds)`` — the analysis bounds serve the preflight and columnar
+    admission alike — or the exit code when the deployment is refused."""
+    try:
+        scheme = OnlineScheme.load(args.scheme)
+    except (OSError, SchemeFormatError) as exc:
+        print(f"error: cannot load scheme {args.scheme}: {exc}", file=sys.stderr)
+        return 2
+    if args.max_elements is not None and args.max_elements < 0:
+        print(f"error: --max-elements must be >= 0, got {args.max_elements}", file=sys.stderr)
+        return 2
+    try:
+        # An explicit --max-elements makes unbounded sources safe to drain.
+        stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
+        extra = _parse_extra(args.extra)
+    except ValueError as exc:
+        hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return 2
     from .ir.analysis import UNKNOWN_BOUNDS, bounds_from_spec
 
-    if source_spec is None:
-        return UNKNOWN_BOUNDS
     try:
-        return bounds_from_spec(source_spec, max_elements)
+        bounds = bounds_from_spec(args.source, args.max_elements)
     except ValueError:
-        return UNKNOWN_BOUNDS
+        bounds = UNKNOWN_BOUNDS  # unknown source: analyze structure-only
+    if not args.no_analyze:
+        code = _preflight_analyze(scheme, args.scheme, bounds)
+        if code:
+            return code
+    if args.max_elements is not None:
+        import itertools
+
+        stream = itertools.islice(stream, args.max_elements)
+    if args.backend in ("auto", "columnar"):
+        notice = _columnar_notice(scheme, args.backend, bounds)
+        if notice is not None:
+            print(notice, file=sys.stderr)
+    return scheme, stream, extra, bounds
 
 
 def _columnar_notice(scheme: OnlineScheme, backend: str, bounds) -> str | None:
@@ -520,40 +539,13 @@ def _columnar_notice(scheme: OnlineScheme, backend: str, bounds) -> str | None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_jit:
-        # Operators resolve their execution backend through jit_enabled();
-        # the env knob reaches every operator this process creates,
-        # including ones rebuilt from checkpoints.
-        import os
-
-        os.environ["REPRO_JIT"] = "0"
-    try:
-        scheme = OnlineScheme.load(args.scheme)
-    except (OSError, SchemeFormatError) as exc:
-        print(f"error: cannot load scheme {args.scheme}: {exc}", file=sys.stderr)
-        return 2
-    if args.max_elements is not None and args.max_elements < 0:
-        print(f"error: --max-elements must be >= 0, got {args.max_elements}", file=sys.stderr)
-        return 2
     if args.batch_size is not None and args.batch_size < 1:
         print(f"error: --batch-size must be >= 1, got {args.batch_size}", file=sys.stderr)
         return 2
-    try:
-        # An explicit --max-elements makes unbounded sources safe to drain.
-        stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
-        extra = _parse_extra(args.extra)
-    except ValueError as exc:
-        hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
-        return 2
-    if not args.no_analyze:
-        code = _preflight_analyze(scheme, args.scheme, args.source, args.max_elements)
-        if code:
-            return code
-    if args.max_elements is not None:
-        import itertools
-
-        stream = itertools.islice(stream, args.max_elements)
+    opened = _open_deployment(args)
+    if isinstance(opened, int):
+        return opened
+    scheme, stream, extra, bounds = opened
 
     keyed = args.key_field is not None
     key_fn = value_fn = None
@@ -567,17 +559,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --value-field requires --key-field", file=sys.stderr)
         return 2
 
-    backend = None if args.backend == "exact" else args.backend
-    bounds = None
-    if backend is not None:
-        bounds = _spec_analysis_bounds(args.source, args.max_elements)
-        notice = _columnar_notice(scheme, args.backend, bounds)
-        if notice is not None:
-            print(notice, file=sys.stderr)
     try:
         if args.resume:
             op = load_checkpoint(args.resume, key_fn=key_fn, value_fn=value_fn,
-                                 backend=backend, bounds=bounds)
+                                 backend=args.backend, bounds=bounds)
             if not isinstance(op, (OnlineOperator, KeyedOperator)) or (
                 keyed != isinstance(op, KeyedOperator)
             ):
@@ -594,16 +579,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for part in getattr(op, "partitions", {}).values():
                     part.extra.update(extra)
         elif keyed:
-            # jit=False forwards to every partition operator (the env knob
-            # above covers checkpoint-restored operators too).
-            op = KeyedOperator(
-                scheme, key_fn, value_fn=value_fn, extra=extra,
-                jit=False if args.no_jit else None,
-                backend=backend, bounds=bounds,
-            )
+            op = KeyedOperator(scheme, key_fn, value_fn=value_fn, extra=extra,
+                               backend=args.backend, bounds=bounds)
         else:
-            op = OnlineOperator(scheme, extra, jit=False if args.no_jit else None,
-                                backend=backend, bounds=bounds)
+            op = OnlineOperator(scheme, extra, backend=args.backend, bounds=bounds)
     except (OSError, CheckpointError) as exc:
         message = str(exc)
         if "key_fn" in message:
@@ -655,66 +634,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_kill_specs(specs: list[str] | None, shards: int) -> dict[int, list[int]]:
-    """``--kill-shard SHARD:AFTER`` fault-injection specs, as a mapping from
-    pushed-element count to the shards to SIGKILL at that point."""
-    kills: dict[int, list[int]] = {}
-    for spec in specs or []:
-        shard_raw, sep, after_raw = spec.partition(":")
-        if not sep:
-            raise ValueError(f"--kill-shard takes SHARD:AFTER, got {spec!r}")
-        try:
-            shard, after = int(shard_raw), int(after_raw)
-        except ValueError:
-            raise ValueError(f"--kill-shard takes SHARD:AFTER, got {spec!r}") from None
-        if not 0 <= shard < shards:
-            raise ValueError(f"--kill-shard shard {shard} out of range for --shards {shards}")
-        if after < 1:
-            raise ValueError(f"--kill-shard AFTER must be >= 1, got {after}")
-        kills.setdefault(after, []).append(shard)
-    return kills
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.no_jit:
-        import os
-
-        os.environ["REPRO_JIT"] = "0"
     try:
-        scheme = OnlineScheme.load(args.scheme)
-    except (OSError, SchemeFormatError) as exc:
-        print(f"error: cannot load scheme {args.scheme}: {exc}", file=sys.stderr)
-        return 2
-    if args.max_elements is not None and args.max_elements < 0:
-        print(f"error: --max-elements must be >= 0, got {args.max_elements}", file=sys.stderr)
-        return 2
-    try:
-        stream = sources.from_spec(args.source, allow_unbounded=args.max_elements is not None)
-        extra = _parse_extra(args.extra)
-        kills = _parse_kill_specs(args.kill_shard, args.shards)
         plan = FaultPlan(args.fault or [])
     except ValueError as exc:
-        hint = " (or pass --max-elements N)" if "unbounded" in str(exc) else ""
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not args.no_analyze:
-        code = _preflight_analyze(scheme, args.scheme, args.source, args.max_elements)
-        if code:
-            return code
-    if args.max_elements is not None:
-        import itertools
-
-        stream = itertools.islice(stream, args.max_elements)
+    opened = _open_deployment(args)
+    if isinstance(opened, int):
+        return opened
+    scheme, stream, extra, bounds = opened
     if plan.poison_offsets:
         stream = plan.apply_stream(stream, value_index=args.value_field)
-
-    backend = None if args.backend == "exact" else args.backend
-    bounds = None
-    if backend is not None:
-        bounds = _spec_analysis_bounds(args.source, args.max_elements)
-        notice = _columnar_notice(scheme, args.backend, bounds)
-        if notice is not None:
-            print(notice, file=sys.stderr)
 
     seen: list = []  # retained only under --verify (the oracle needs them)
     try:
@@ -733,8 +664,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             liveness_timeout_s=args.liveness_timeout,
             on_error=args.on_error,
             faults=plan if plan else None,
-            jit=False if args.no_jit else None,
-            backend=backend,
+            backend=args.backend,
             bounds=bounds,
             fresh=args.fresh,
         )
@@ -749,7 +679,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pushed += 1
                 if args.verify:
                     seen.append(element)
-                for sid in (*kills.get(pushed, ()), *plan.kills_at(pushed)):
+                for sid in plan.kills_at(pushed):
                     server.kill_shard(sid)
                     print(f"killed shard {sid} after {pushed} elements "
                           "(crash-restore will replay)")
@@ -789,8 +719,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             key_field=args.key_field,
             value_field=args.value_field,
             extra=extra,
-            jit=False if args.no_jit else None,
-            backend=backend,
+            backend=args.backend,
             bounds=bounds,
         )
         if not states_match(result, oracle):
@@ -827,7 +756,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             on_error=args.on_error,
             workdir=args.workdir,
             liveness_timeout_s=args.liveness_timeout,
-            jit=False if args.no_jit else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1032,9 +960,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(line)
 
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        atomic_write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"report written to {args.out}")
     elif args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -1094,17 +1020,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --key-field: push element[J] instead of the "
                             "whole element")
     p_run.add_argument("--trace", action="store_true", help="print every per-element result")
-    p_run.add_argument("--no-jit", action="store_true",
-                       help="run on the tree-walking interpreter instead of "
-                            "the compiled scheme step (same results; "
-                            "equivalent to REPRO_JIT=0)")
     p_run.add_argument("--backend", choices=BACKENDS,
                        default="exact",
-                       help="batch execution backend: exact rationals "
-                            "(default), auto (NumPy columnar kernels when "
-                            "the int64 certificate licenses them — "
-                            "bit-identical), or columnar (also opt into the "
-                            "float64 domain; IEEE-754 rounding only)")
+                       help="execution backend: exact rationals on the "
+                            "compiled scheme (default), auto (NumPy columnar "
+                            "kernels when the int64 certificate licenses "
+                            "them — bit-identical), columnar (also opt into "
+                            "the float64 domain; IEEE-754 rounding only), or "
+                            "interpreted (the tree-walking interpreter; same "
+                            "results)")
     p_run.add_argument("--checkpoint", default=None, metavar="FILE",
                        help="write an operator checkpoint after the run")
     p_run.add_argument("--resume", default=None, metavar="FILE",
@@ -1165,9 +1089,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-elements", type=int, default=None, metavar="N",
                          help="stop after N elements; also the only way to "
                               "serve an unbounded source spec")
-    p_serve.add_argument("--kill-shard", action="append", metavar="SHARD:AFTER",
-                         help="fault injection: SIGKILL shard SHARD's worker "
-                              "after AFTER elements were pushed (repeatable)")
     p_serve.add_argument("--fault", action="append", metavar="SPEC",
                          help="fault injection: kill:S:AFTER, "
                               "stall:S:AFTER[:SECS], corrupt-checkpoint:S:GEN, "
@@ -1183,15 +1104,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead of resuming them")
     p_serve.add_argument("--extra", action="append", metavar="NAME=VALUE",
                          help="bind an extra scalar parameter of the scheme")
-    p_serve.add_argument("--no-jit", action="store_true",
-                         help="interpreted scheme steps in every worker "
-                              "(same results; equivalent to REPRO_JIT=0)")
     p_serve.add_argument("--backend", choices=BACKENDS,
                          default="exact",
-                         help="worker batch backend: exact rationals "
+                         help="worker execution backend: exact rationals "
                               "(default), auto (certificate-licensed int64 "
-                              "columnar — bit-identical), or columnar "
-                              "(float64 opt-in)")
+                              "columnar — bit-identical), columnar (float64 "
+                              "opt-in), or interpreted (the tree-walking "
+                              "interpreter; same results)")
     p_serve.add_argument("--no-analyze", action="store_true",
                          help="skip the static-analysis preflight (which "
                               "refuses schemes the analyzer proves will fault)")
@@ -1285,9 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: a temp dir, removed afterwards)")
     p_chaos.add_argument("--out", default=None, metavar="FILE",
                          help="also write the chaos report JSON to FILE")
-    p_chaos.add_argument("--no-jit", action="store_true",
-                         help="interpreted scheme steps everywhere "
-                              "(same results; equivalent to REPRO_JIT=0)")
     p_chaos.set_defaults(func=_cmd_chaos)
 
     p_cache = sub.add_parser("cache", help="inspect/maintain the result cache and scheme store")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from ..ir.compile import IRCompileError, compile_expr, jit_enabled
+from ..ir.compile import IRCompileError, compile_expr
 from ..ir.evaluator import EvaluationError, evaluate, run_offline
 from ..ir.nodes import Expr, Program
 from ..ir.values import Value, values_close
@@ -114,11 +114,9 @@ def _compile_cached(expr: Expr, params: tuple[str, ...]):
 
 def _compiled_evaluator(expr: Expr, params: tuple[str, ...], what: str):
     """Compile ``expr`` to ``fn(env) -> value`` over the fixed name set
-    ``params``, or ``None`` when compilation is unavailable (JIT disabled,
-    holes, free names outside ``params``) — callers then interpret, which is
+    ``params``, or ``None`` when compilation is unavailable (holes, free
+    names outside ``params``) — callers then interpret, which is
     behaviourally identical (:mod:`repro.ir.compile`)."""
-    if not jit_enabled():
-        return None
     fn = _compile_cached(expr, params)
     if fn is None:
         return None
@@ -195,7 +193,7 @@ def check_scheme_equivalence(
 ) -> bool:
     """Definition 3.3, decided by testing on every prefix of random streams."""
     rng = make_rng(config, salt)
-    step = scheme._resolve_step()  # compiled once for the whole battery
+    step = scheme._resolve()[0]  # compiled once for the whole battery
     for _ in range(config.equivalence_tests):
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         extras = random_extras(rng, program.extra_params)
@@ -222,7 +220,7 @@ def check_inductiveness(
     """Definition 4.3, decided by testing: if the state satisfies the RFS on
     ``xs``, the stepped state satisfies it on ``xs ++ [x]``."""
     rng = make_rng(config, salt)
-    step = scheme._resolve_step()  # compiled once for the whole battery
+    step = scheme._resolve()[0]  # compiled once for the whole battery
     for _ in range(config.equivalence_tests):
         xs = random_list(rng, config.equivalence_max_len, arity=config.element_arity)
         x = random_element(rng, config.element_arity)

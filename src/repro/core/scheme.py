@@ -16,13 +16,23 @@ from ..ir.compile import (
     IRCompileError,
     StepKernel,
     compile_online,
-    jit_enabled,
     kernel_partial,
 )
 from ..ir.evaluator import step_online
 from ..ir.nodes import OnlineProgram
 from ..ir.pretty import pretty_online
 from ..ir.values import Value
+
+#: The execution backends an operator can run on (``None`` means
+#: ``"exact"``), resolved by :meth:`OnlineScheme._resolve`.
+BACKENDS = ("auto", "exact", "columnar", "interpreted")
+
+
+def check_backend(backend: str | None) -> None:
+    """Refuse a backend name outside :data:`BACKENDS`."""
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+
 
 @dataclass
 class OnlineScheme:
@@ -37,7 +47,7 @@ class OnlineScheme:
     #: Lazily-built execution artifacts for ``program``: ``"compiled"`` is
     #: the ``(step, kernel)`` pair of :func:`repro.ir.compile.compile_online`
     #: (``(None, None)`` once compilation was declined, so it is not
-    #: retried per resolve), and ``("columns", jit, allow_float)`` a
+    #: retried per resolve), and ``("columns", allow_float)`` a
     #: list of ``(bounds, columnar kernel)`` pairs, matched by ``bounds``
     #: equality because bounds are unhashable (see :meth:`compiled_columns`).
     #: Per-instance, so deserializing a scheme starts with a cold cache;
@@ -101,8 +111,8 @@ class OnlineScheme:
 
         Raises :class:`~repro.ir.compile.IRCompileError` when the program
         cannot be batch-compiled (holes, or a shape the loop transformation
-        declines); :meth:`_resolve_kernel` then drives the resolved scalar
-        step from the generic loop instead.
+        declines); :meth:`_resolve` then drives the resolved scalar step
+        from the generic loop instead.
         """
         kernel = self._compiled()[1]
         if kernel is None:
@@ -111,9 +121,7 @@ class OnlineScheme:
             )
         return kernel
 
-    def compiled_columns(
-        self, bounds=None, *, allow_float: bool = False, jit: bool | None = None
-    ):
+    def compiled_columns(self, bounds=None, *, allow_float: bool = False):
         """The certificate-licensed columnar (NumPy) kernel for this scheme
         under ``bounds``, or ``None`` when the fast path is unavailable.
 
@@ -121,11 +129,10 @@ class OnlineScheme:
         scan-decomposable, or admission (see
         :func:`repro.ir.vectorize.admit_columnar`) did not yield the
         ``int64`` certificate and ``allow_float`` is False.  Callers fall
-        back to :meth:`_resolve_kernel` — the columnar path never changes
-        what a scheme computes, only how fast the admitted ones run.
-        Results are cached per ``(jit, allow_float, bounds)`` request: the
-        kernel's out-of-contract bailouts run on the exact kernel resolved
-        under the same ``jit``.
+        back to the exact kernel — the columnar path never changes what a
+        scheme computes, only how fast the admitted ones run.  Results are
+        cached per ``(allow_float, bounds)`` request; the kernel's
+        out-of-contract bailouts run on the exact kernel of :meth:`_resolve`.
         """
         from ..ir.vectorize import columnar_kernel_for, numpy_or_none
 
@@ -133,17 +140,12 @@ class OnlineScheme:
             # Checked before the cache so REPRO_NO_NUMPY keeps working after
             # a kernel was compiled (the degraded-path tests flip it live).
             return None
-        if jit is None:
-            jit = jit_enabled()
-        entries = self._artifacts.setdefault(("columns", jit, allow_float), [])
+        entries = self._artifacts.setdefault(("columns", allow_float), [])
         for cached_bounds, kernel in entries:
             if cached_bounds is bounds or cached_bounds == bounds:
                 return kernel
         kernel = columnar_kernel_for(
-            self,
-            bounds,
-            allow_float=allow_float,
-            exact=self._resolve_kernel(jit),
+            self, bounds, allow_float=allow_float, exact=self._resolve()[1]
         )
         entries.append((bounds, kernel))
         return kernel
@@ -154,34 +156,40 @@ class OnlineScheme:
         ``loads``/``from_dict`` are fresh objects with cold caches)."""
         self._artifacts = {}
 
-    def _resolve_step(
-        self, jit: bool | None = None
-    ) -> Callable[[Sequence[Value], Value, Mapping[str, Value] | None], tuple]:
-        """The step callable honouring the ``REPRO_JIT`` escape hatch, with
-        automatic interpreter fallback for uncompilable programs."""
-        if jit is None:
-            jit = jit_enabled()
-        if jit:
-            try:
-                return self.compiled_step()
-            except IRCompileError:
-                pass
-        return self.interpreted_step
+    def _resolve(self, backend: str | None = None, bounds=None) -> tuple:
+        """The ``(step, kernel)`` pair that runs this scheme under
+        ``backend`` (one of :data:`BACKENDS`; ``None`` means ``"exact"``).
 
-    def _resolve_kernel(self, jit: bool | None = None) -> StepKernel:
-        """The batch execution plan with the same contract as
-        :meth:`_resolve_step`: the codegen-backed kernel by default, an
-        interpreter-driven (or scalar-closure-driven) loop under
-        ``REPRO_JIT=0`` / ``jit=False`` or when batch codegen declines —
-        always bit-for-bit identical results over exact rationals."""
-        if jit is None:
-            jit = jit_enabled()
-        if jit:
-            try:
-                return self.compiled_kernel()
-            except IRCompileError:
-                pass
-        return StepKernel.from_step(self._resolve_step(jit), name=self.provenance)
+        ``"interpreted"`` is the tree-walking interpreter, batched by the
+        generic loop.  Every other backend takes the compiled pair, falling
+        back to the interpreter when the program cannot be compiled and to
+        the generic loop when batch codegen declines.  ``"auto"`` and
+        ``"columnar"`` then upgrade the kernel to the columnar plan when
+        admission under ``bounds`` grants it (``"auto"`` takes only the
+        bit-identical int64 path; ``"columnar"`` also opts into float64).
+        All but the float64 opt-in compute the same values, bit for bit.
+        """
+        check_backend(backend)
+        if backend == "interpreted":
+            step = self.interpreted_step
+            return step, StepKernel.from_step(step, name=self.provenance)
+        # Through the public entries, kernel first: it builds the module
+        # both share, so a trace of compiled_kernel sees the whole compile.
+        try:
+            kernel = self.compiled_kernel()
+        except IRCompileError:
+            kernel = None
+        try:
+            step = self.compiled_step()
+        except IRCompileError:
+            step = self.interpreted_step
+        if kernel is None:
+            kernel = StepKernel.from_step(step, name=self.provenance)
+        if backend in ("auto", "columnar"):
+            columnar = self.compiled_columns(bounds, allow_float=backend == "columnar")
+            if columnar is not None:
+                kernel = columnar
+        return step, kernel
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -197,7 +205,7 @@ class OnlineScheme:
         extra: Mapping[str, Value] | None = None,
     ) -> tuple[Value, ...]:
         """One S-Cons transition: ``(state, element) -> state'``."""
-        return self._resolve_step()(state, element, extra)
+        return self._resolve()[0](state, element, extra)
 
     def run(
         self,
@@ -210,7 +218,7 @@ class OnlineScheme:
         (rule Lift-Nil); otherwise one output per consumed element
         (rule S-Cons via Lift-Cons).
         """
-        step = self._resolve_step()
+        step = self._resolve()[0]
         state = self.initializer
         consumed = False
         for element in stream:
@@ -236,11 +244,11 @@ class OnlineScheme:
         program in Definition 3.3.
 
         Routed through the batch kernel: the whole stream is folded by one
-        compiled loop (see :meth:`_resolve_kernel`) instead of a per-element
+        compiled loop (see :meth:`_resolve`) instead of a per-element
         closure call, with identical results.
         """
         try:
-            state, _consumed = self._resolve_kernel().run(self.initializer, stream, extra)
+            state, _consumed = self._resolve()[1].run(self.initializer, stream, extra)
         except BaseException as exc:
             # Strip the kernel's partial-progress marker: nothing on this
             # path resumes, and the caught exception must not keep the
@@ -256,7 +264,7 @@ class OnlineScheme:
     ) -> list[tuple[Value, ...]]:
         """Full accumulator states after each element (used by the
         inductiveness property tests)."""
-        step = self._resolve_step()
+        step = self._resolve()[0]
         states = [self.initializer]
         state = self.initializer
         for element in stream:
@@ -345,10 +353,11 @@ class OnlineScheme:
         return loads_scheme(text)
 
     def save(self, path) -> None:
-        """Write :meth:`dumps` to ``path`` (text, UTF-8)."""
-        from pathlib import Path
+        """Write :meth:`dumps` to ``path`` (text, UTF-8), atomically: a
+        failed write leaves any previous file intact."""
+        from ..diskstore import atomic_write
 
-        Path(path).write_text(self.dumps() + "\n", encoding="utf-8")
+        atomic_write(path, self.dumps() + "\n")
 
     @classmethod
     def load(cls, path) -> "OnlineScheme":

@@ -179,13 +179,14 @@ def verify_scheme(
     )
     from ..ir.evaluator import run_offline
 
+    step = scheme._resolve()[0]  # compiled once for the whole grid
     for xs in bounded_streams(bounded_len, grid, arity):
         for extra_values in extra_choices:
             extras = dict(zip(program.extra_params, extra_values))
             try:
                 state = scheme.initializer
                 for i, element in enumerate(xs):
-                    state = scheme.step(state, element, extras)
+                    state = step(state, element, extras)
                     expected = run_offline(program, list(xs[: i + 1]), extras)
                     if not values_close(state[0], expected):
                         return False

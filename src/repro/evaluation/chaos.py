@@ -36,7 +36,7 @@ from pathlib import Path
 from ..diskstore import atomic_write
 from ..faults import POISON, FaultPlan
 from ..runtime import sources
-from ..serve import ServeError, StreamServer, reference_states
+from ..serve import ServeError, StreamServer, reference_states, states_match
 from ..suites import get_benchmark
 from .export import bench_metadata
 
@@ -137,7 +137,6 @@ def run_trial(
     workdir,
     liveness_timeout_s: float,
     trial_seed: int,
-    jit: bool | None = None,
 ) -> dict:
     """One serve cycle under one fault plan, differentially verified.
 
@@ -168,7 +167,6 @@ def run_trial(
             on_error=on_error,
             faults=plan,
             seed=trial_seed,
-            jit=jit,
             fresh=True,
         )
         with server:
@@ -195,9 +193,8 @@ def run_trial(
         oracle_elements = [e for i, e in enumerate(stream) if i not in plan.poison_offsets]
     else:
         oracle_elements = elements
-    oracle = reference_states(scheme, oracle_elements, key_field=1, value_field=0, jit=jit)
-    want = {key: part.state for key, part in oracle.partitions.items()}
-    ok = result.states == want and result.count == oracle.count
+    oracle = reference_states(scheme, oracle_elements, key_field=1, value_field=0)
+    ok = states_match(result, oracle)
 
     if on_error == "quarantine":
         letters = read_dead_letters(workdir)
@@ -228,7 +225,6 @@ def run_chaos(
     on_error: str = "fail",
     workdir=None,
     liveness_timeout_s: float = 1.5,
-    jit: bool | None = None,
 ) -> dict:
     """Run ``trials`` seeded chaos trials and return the summary report.
 
@@ -275,7 +271,6 @@ def run_chaos(
             workdir=trial_dir,
             liveness_timeout_s=liveness_timeout_s,
             trial_seed=rng.randrange(1_000_000),
-            jit=jit,
         )
         record["trial"] = trial
         record["source"] = spec

@@ -17,6 +17,7 @@ import math
 import subprocess
 from typing import Mapping
 
+from ..diskstore import atomic_write
 from .cdf import cdf_series
 from .runner import SuiteResult
 
@@ -77,10 +78,8 @@ def matrix_to_csv(matrix: Mapping[str, SuiteResult]) -> str:
 
 
 def write_artifacts(matrix: Mapping[str, SuiteResult], json_path: str, csv_path: str) -> None:
-    with open(json_path, "w") as handle:
-        handle.write(matrix_to_json(matrix))
-    with open(csv_path, "w") as handle:
-        handle.write(matrix_to_csv(matrix))
+    atomic_write(json_path, matrix_to_json(matrix))
+    atomic_write(csv_path, matrix_to_csv(matrix))
 
 
 def git_commit(cwd: str | None = None) -> str:

@@ -36,7 +36,6 @@ from .compile import (
     IRCompileError,
     compile_expr,
     compile_online,
-    jit_enabled,
 )
 from .evaluator import EvaluationError, evaluate, run_offline, step_online
 from .infer import check_well_typed, infer_program_type, infer_type
@@ -90,7 +89,6 @@ __all__ = [
     "infer_type",
     "const",
     "evaluate",
-    "jit_enabled",
     "fill_holes",
     "free_vars",
     "inline_lets",

@@ -42,9 +42,9 @@ the interpreter only detects at run time (lambda arity mismatches inside a
 combinator, bad projections, missing extra parameters) raise the same
 exception class from compiled code as from interpreted code.
 
-The escape hatch: ``REPRO_JIT=0`` (or ``--no-jit`` on the CLI) disables the
-backend globally; :func:`jit_enabled` is consulted by every integration
-point.
+The interpreter stays selectable per operator: ``backend="interpreted"``
+(``--backend interpreted`` on the CLI) runs a scheme without this module,
+resolved by :meth:`repro.core.scheme.OnlineScheme._resolve`.
 
 Online programs compile to one generated module with two entries
 (:func:`compile_online`): the scalar ``step`` closure and a
@@ -60,7 +60,6 @@ per-element loop.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -91,18 +90,6 @@ class IRCompileError(Exception):
     """The expression cannot be compiled (holes, unbound names, unknown
     built-ins, non-applicable callees, or pathological nesting).  Callers
     fall back to the interpreter, whose behaviour is the specification."""
-
-
-def jit_enabled(default: bool = True) -> bool:
-    """Whether compiled execution is enabled (the ``REPRO_JIT`` env knob).
-
-    Any of ``0`` / ``false`` / ``off`` / ``no`` (case-insensitive) disables
-    the codegen backend everywhere; unset or anything else enables it.
-    """
-    raw = os.environ.get("REPRO_JIT")
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no")
 
 
 # -- step kernels: whole-batch execution plans --------------------------------
@@ -835,7 +822,7 @@ class _Codegen:
     def build(self, source: str, entries: Sequence[str], what: str) -> list[Callable]:
         """Exec ``source`` once and return its ``entries`` functions."""
         try:
-            code = compile(source, f"<repro-jit:{what}>", "exec")
+            code = compile(source, f"<repro-compiled:{what}>", "exec")
         except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
             raise IRCompileError(f"generated source rejected for {what}: {exc}") from None
         namespace: dict = {}

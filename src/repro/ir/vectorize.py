@@ -928,7 +928,7 @@ def columnar_kernel_for(
     bounds=None,
     *,
     allow_float: bool = False,
-    exact: StepKernel | None = None,
+    exact: StepKernel,
 ) -> ColumnarKernel | None:
     """The admitted columnar kernel for ``scheme`` under ``bounds``, or
     ``None`` (NumPy absent, not admitted, or int64-only policy and no
@@ -947,7 +947,7 @@ def columnar_kernel_for(
             scheme.program,
             scheme.initializer,
             domain=admission.domain,
-            exact=exact if exact is not None else scheme._resolve_kernel(),
+            exact=exact,
             bounds=bounds,
             name=f"{scheme.provenance}-columnar",
         )

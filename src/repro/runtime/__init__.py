@@ -7,11 +7,11 @@ windowing helpers, and restart-safe checkpointing
 (:mod:`repro.runtime.checkpoint`).
 """
 
+from ..core.scheme import BACKENDS
 from . import sources
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .keyed import KeyedOperator
 from .stream import (
-    BACKENDS,
     OnlineOperator,
     StreamPipeline,
     compare_with_offline,

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping
 
-from ..core.scheme import OnlineScheme
+from ..core.scheme import OnlineScheme, check_backend
 from ..ir.values import Value
-from .stream import OnlineOperator, check_backend
+from .stream import OnlineOperator
 
 
 class KeyedOperator:
@@ -40,7 +40,6 @@ class KeyedOperator:
         value_fn: Callable[[Value], Value] | None = None,
         extra: Mapping[str, Value] | None = None,
         name: str | None = None,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ):
@@ -52,13 +51,9 @@ class KeyedOperator:
         self.name = name or scheme.provenance
         self.partitions: dict[Hashable, OnlineOperator] = {}
         self.count = 0
-        # Execution-backend choice, forwarded to every partition operator —
-        # without this, ``jit=False`` on a keyed deployment was silently
-        # ignored (partitions resolved the backend from the env knob only).
-        # ``backend``/``bounds`` select the columnar fast path the same way
+        # Execution-backend choice, forwarded to every partition operator
         # (admission happens once: the scheme caches the columnar kernel,
         # partitions share it).
-        self._jit = jit
         self._backend = backend
         self._bounds = bounds
 
@@ -70,7 +65,6 @@ class KeyedOperator:
                 self.scheme,
                 self.extra,
                 f"{self.name}[{key!r}]",
-                jit=self._jit,
                 backend=self._backend,
                 bounds=self._bounds,
             )
@@ -217,15 +211,13 @@ class KeyedOperator:
         key_fn: Callable[[Value], Hashable],
         *,
         value_fn: Callable[[Value], Value] | None = None,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ) -> "KeyedOperator":
         """Rebuild from :meth:`checkpoint` output.  Key/value extractors are
-        code, not data — the caller supplies them again (as are the ``jit``
-        and ``backend`` choices, process decisions rather than state: a
+        code, not data — the caller supplies them again (as is the
+        ``backend`` choice, a process decision rather than state: a
         checkpoint written under one backend restores under any other)."""
         from .checkpoint import restore_keyed
 
-        return restore_keyed(data, key_fn, value_fn=value_fn, jit=jit,
-                             backend=backend, bounds=bounds)
+        return restore_keyed(data, key_fn, value_fn=value_fn, backend=backend, bounds=bounds)

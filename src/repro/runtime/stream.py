@@ -16,10 +16,10 @@ Operators are deliberately tiny: one scheme step per element, O(1) state.
 Batched ingestion (``push_many``, the windows, ``repro run --batch-size``)
 runs on :class:`~repro.ir.compile.StepKernel` execution plans: each
 operator's chunk loop is compiled to one native closure, with the
-interpreter-driven loop as the transparent ``REPRO_JIT=0`` / ``--no-jit``
-fallback.  A pipeline drains a batch through each operator's own kernel in
-turn.  Kernels are semantically invisible — batch results equal
-per-element ``push``, bit-for-bit.
+interpreter-driven loop under ``backend="interpreted"`` (and as the
+fallback for uncompilable programs).  A pipeline drains a batch through
+each operator's own kernel in turn.  Kernels are semantically invisible —
+batch results equal per-element ``push``, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -29,18 +29,8 @@ from collections import deque
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..core.scheme import OnlineScheme
-from ..ir.compile import jit_enabled, kernel_partial
+from ..ir.compile import kernel_partial
 from ..ir.values import Value
-
-#: The batch execution backends an operator can run on (``None`` means
-#: ``"exact"``); see :class:`OnlineOperator`.
-BACKENDS = ("auto", "exact", "columnar")
-
-
-def check_backend(backend: str | None) -> None:
-    """Refuse a backend name outside :data:`BACKENDS`."""
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
 
 
 class OnlineOperator:
@@ -57,43 +47,21 @@ class OnlineOperator:
         extra: Mapping[str, Value] | None = None,
         name: str | None = None,
         *,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
     ):
-        check_backend(backend)
         self.scheme = scheme
         self.extra = dict(extra or {})
         self.name = name or scheme.provenance
         self.state: tuple[Value, ...] = scheme.initializer
         self.count = 0
-        # The execution backends are resolved once per operator: the
-        # compiled native closure (per-element push) and the batch kernel
-        # (push_many) by default, interpreter-driven equivalents under
-        # REPRO_JIT=0 or jit=False (or when the program is uncompilable).
-        # See :mod:`repro.ir.compile`.  Under backend="auto"/"columnar" the
-        # batch kernel is upgraded to the certificate-licensed NumPy
-        # columnar plan when admission grants it ("auto" takes only the
-        # bit-identical int64 path; "columnar" also opts into float64);
-        # otherwise the exact kernel stays — silently, by design: the
-        # backend choice never changes what an operator computes.
-        self._jit = jit
+        # The scalar step (push) and the batch kernel (push_many) are
+        # resolved once per operator; the backend choice never changes what
+        # an operator computes (see OnlineScheme._resolve).
         self._backend = backend
         self._bounds = bounds
-        if jit is None:
-            jit = jit_enabled()  # one environment read for all three lookups
-        # Kernel first: it builds the module both entries share, so a trace
-        # of compiled_kernel sees the whole compile and the step is a hit.
-        self._kernel = scheme._resolve_kernel(jit)
-        self._step = scheme._resolve_step(jit)
-        self._columnar_float = False
-        if backend in ("auto", "columnar"):
-            columnar = scheme.compiled_columns(
-                bounds, allow_float=backend == "columnar", jit=jit
-            )
-            if columnar is not None:
-                self._kernel = columnar
-                self._columnar_float = columnar.domain == "float64"
+        self._step, self._kernel = scheme._resolve(backend, bounds)
+        self._columnar_float = getattr(self._kernel, "domain", None) == "float64"
 
     @property
     def value(self) -> Value:
@@ -129,9 +97,9 @@ class OnlineOperator:
         """
         # The whole chunk runs inside one StepKernel call — the compiled
         # batch loop (state in locals, no per-element closure re-entry), or
-        # the interpreter-driven loop under --no-jit.  If an element
-        # raises, the kernel's partial-progress record keeps exactly the
-        # state and count a per-element loop would have kept.
+        # the interpreter-driven loop under backend="interpreted".  If an
+        # element raises, the kernel's partial-progress record keeps exactly
+        # the state and count a per-element loop would have kept.
         try:
             state, consumed = self._kernel.run(self.state, elements, self.extra)
         except BaseException as exc:
@@ -155,7 +123,6 @@ class OnlineOperator:
             self.scheme,
             self.extra,
             self.name,
-            jit=self._jit,
             backend=self._backend,
             bounds=self._bounds,
         )
@@ -197,8 +164,8 @@ class StreamPipeline:
         kernel (:meth:`OnlineOperator.push_many`); operators are
         independent, so the result equals per-element ``push``.
 
-        Failure semantics reproduce per-element ``push`` exactly, jit on
-        and off: operators advance in dict order within each element, so
+        Failure semantics reproduce per-element ``push`` exactly, on every
+        backend: operators advance in dict order within each element, so
         when operator *r* raises on element *k*, operators before *r* keep
         ``k + 1`` elements and the rest keep ``k``.  Each operator is
         probed, then all rewind to the pre-batch snapshot and re-drain

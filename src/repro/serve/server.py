@@ -74,7 +74,7 @@ from typing import Hashable, Iterable, Mapping
 
 import multiprocessing as mp
 
-from ..core.scheme import OnlineScheme
+from ..core.scheme import OnlineScheme, check_backend
 from ..diskstore import atomic_write
 from ..faults import FaultPlan
 from ..runtime.checkpoint import (
@@ -83,7 +83,6 @@ from ..runtime.checkpoint import (
     restore_keyed,
 )
 from ..runtime.keyed import KeyedOperator
-from ..runtime.stream import check_backend
 from ..supervisor import ServiceSupervisor, _mp_context
 from ..ir.values import Value
 from .hashring import HashRing
@@ -223,7 +222,6 @@ class StreamServer:
         faults: FaultPlan | None = None,
         seed: int | None = None,
         ring_replicas: int = 64,
-        jit: bool | None = None,
         backend: str | None = None,
         bounds=None,
         fresh: bool = False,
@@ -260,7 +258,6 @@ class StreamServer:
         self.keep_generations = keep_generations
         self.on_error = on_error
         self.faults = faults.validate(shards) if faults is not None else None
-        self.jit = jit
         self.backend = backend
         self.bounds = bounds
         self.fresh = fresh
@@ -462,7 +459,6 @@ class StreamServer:
             checkpoint_base=str(self._checkpoint_base(shard.sid)),
             checkpoint_every=self.checkpoint_every,
             keep_generations=self.keep_generations,
-            jit=self.jit,
             backend=self.backend,
             bounds=self.bounds,
             resume=resume,
@@ -721,7 +717,6 @@ class StreamServer:
             merged,
             field_extractor(self.key_field),
             value_fn=field_extractor(self.value_field),
-            jit=self.jit,
             backend=self.backend,
             bounds=self.bounds,
         )
@@ -747,7 +742,6 @@ def reference_states(
     key_field,
     value_field=None,
     extra: Mapping[str, Value] | None = None,
-    jit: bool | None = None,
     backend: str | None = None,
     bounds=None,
 ) -> KeyedOperator:
@@ -758,7 +752,6 @@ def reference_states(
         field_extractor(key_field),
         value_fn=field_extractor(value_field),
         extra=extra,
-        jit=jit,
         backend=backend,
         bounds=bounds,
     )

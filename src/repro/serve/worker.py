@@ -88,8 +88,7 @@ class WorkerConfig:
     checkpoint_every: int
     extra: dict = field(default_factory=dict)
     keep_generations: int = 3
-    jit: bool | None = None
-    backend: str | None = None  #: None/"exact" | "auto" | "columnar"
+    backend: str | None = None  #: one of repro.runtime.BACKENDS (None = "exact")
     bounds: object = None  #: AnalysisBounds licensing columnar admission
     resume: bool = False
     heartbeat_every_s: float = 1.0
@@ -112,7 +111,7 @@ def _restore_lineage(config: WorkerConfig, key_fn, value_fn):
     if latest is None:
         return None
     generation, consumed, payload = latest
-    op = restore_keyed(payload, key_fn, value_fn=value_fn, jit=config.jit,
+    op = restore_keyed(payload, key_fn, value_fn=value_fn,
                        backend=config.backend, bounds=config.bounds)
     if op.scheme != config.scheme:
         raise CheckpointError(
@@ -216,7 +215,6 @@ def shard_worker(config: WorkerConfig, cmd_conn, ack_conn):
             value_fn=value_fn,
             extra=config.extra,
             name=f"shard-{config.shard_id}",
-            jit=config.jit,
             backend=config.backend,
             bounds=config.bounds,
         )

@@ -118,3 +118,15 @@ class TestSaveCheckpointAtomicity:
         save_checkpoint(op.checkpoint(), path)
         assert json.loads(path.read_text())["count"] == 2
         assert load_checkpoint(path).state == (4,)
+
+
+class TestSchemeSaveAtomicity:
+    def test_failed_save_keeps_previous_scheme_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.scheme.json"
+        path.write_text("previous scheme\n", encoding="utf-8")
+        monkeypatch.setattr(os, "replace", lambda a, b: (_ for _ in ()).throw(OSError("crash")))
+        with pytest.raises(OSError, match="crash"):
+            sum_scheme().save(path)
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == "previous scheme\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.scheme.json"]

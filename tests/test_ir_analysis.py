@@ -71,7 +71,7 @@ from repro.ir.nodes import (
     Proj,
     Var,
 )
-from repro.runtime import KeyedOperator
+from repro.runtime import KeyedOperator, OnlineOperator
 from repro.runtime.checkpoint import restore_keyed
 from repro.suites import all_benchmarks, get_benchmark
 
@@ -321,15 +321,16 @@ class TestDeadStateElimination:
         _, removed = scheme.eliminate_dead_state(element_arity=None)
         assert removed == ()
 
-    @pytest.mark.parametrize("jit", ["1", "0"])
-    def test_bit_identical_jit_on_and_off(self, monkeypatch, jit):
-        monkeypatch.setenv("REPRO_JIT", jit)
+    @pytest.mark.parametrize("backend", ["exact", "interpreted"], ids=["1", "0"])
+    def test_bit_identical_jit_on_and_off(self, backend):
         scheme = _mean_with_junk()
         rewritten, removed = scheme.eliminate_dead_state(element_arity=1)
         assert removed
-        stream = adversarial_stream(1, f"dse:{jit}")
+        stream = adversarial_stream(1, f"dse:{backend}")
+        original = OnlineOperator(scheme, backend=backend)
+        pruned = OnlineOperator(rewritten, backend=backend)
         assert_same_value(
-            scheme.run_to_list(stream), rewritten.run_to_list(stream), "dse"
+            [original.push(x) for x in stream], [pruned.push(x) for x in stream], "dse"
         )
 
     def test_every_ground_truth_unchanged_or_identical(self):

@@ -37,7 +37,6 @@ from repro.ir.compile import (
     _fast_sub,
     compile_expr,
     compile_online,
-    jit_enabled,
 )
 from repro.ir.builtins import get_builtin
 from repro.ir.evaluator import EvaluationError, evaluate, step_online
@@ -150,15 +149,16 @@ class TestGroundTruthSchemes:
 
     def test_scheme_step_uses_compiled_by_default(self):
         scheme = get_benchmark("variance").ground_truth
-        if jit_enabled():
-            assert scheme._resolve_step() is scheme.compiled_step()
+        assert scheme._resolve()[0] is scheme.compiled_step()
+        assert scheme._resolve("interpreted")[0] == scheme.interpreted_step
 
-    def test_run_and_final_match_interpreter(self, monkeypatch):
+    def test_run_and_final_match_interpreter(self):
         scheme = get_benchmark("variance").ground_truth
         stream = adversarial_stream(1, "run")
-        monkeypatch.setenv("REPRO_JIT", "0")
-        interpreted = scheme.run_to_list(stream)
-        monkeypatch.setenv("REPRO_JIT", "1")
+        state, interpreted = scheme.initializer, []
+        for x in stream:
+            state = scheme.interpreted_step(state, x)
+            interpreted.append(state[0])
         compiled = scheme.run_to_list(stream)
         assert_same_value(interpreted, compiled, "run_to_list")
         assert_same_value(
@@ -201,7 +201,7 @@ class TestRuntimeOperators:
         scheme = get_benchmark("variance").ground_truth
         stream = adversarial_stream(1, "op")
         fast = OnlineOperator(scheme)
-        slow = OnlineOperator(scheme, jit=False)
+        slow = OnlineOperator(scheme, backend="interpreted")
         assert slow._step == scheme.interpreted_step
         for x in stream:
             assert_same_value(fast.push(x), slow.push(x), "push")
@@ -210,7 +210,7 @@ class TestRuntimeOperators:
 
     def test_fork_preserves_jit_choice(self):
         scheme = get_benchmark("variance").ground_truth
-        clone = OnlineOperator(scheme, jit=False).fork()
+        clone = OnlineOperator(scheme, backend="interpreted").fork()
         assert clone._step == scheme.interpreted_step
         assert OnlineOperator(scheme).fork()._step is scheme.compiled_step()
 
@@ -222,28 +222,29 @@ class TestRuntimeOperators:
         assert op.count == 2
         assert op.value == 3
 
-    def test_keyed_checkpoint_resume_differential(self, monkeypatch):
+    def test_keyed_checkpoint_resume_differential(self):
         bench = get_benchmark("q_category_max")
         scheme = bench.ground_truth
         stream = adversarial_stream(2, "keyed", n=80)
         key_fn = lambda e: e[1]  # noqa: E731
         extra = {p: 2 for p in scheme.program.extra_params}
 
-        def full_run(jit_env):
-            monkeypatch.setenv("REPRO_JIT", jit_env)
-            op = KeyedOperator(scheme, key_fn, extra=extra)
+        def full_run(backend):
+            op = KeyedOperator(scheme, key_fn, extra=extra, backend=backend)
             op.push_many(stream)
+            if backend == "interpreted":
+                assert all(p._step == scheme.interpreted_step for p in op.partitions.values())
             return op.snapshot()
 
         def interrupted_run():
-            monkeypatch.setenv("REPRO_JIT", "1")
             op = KeyedOperator(scheme, key_fn, extra=extra)
             op.push_many(stream[:37])
             resumed = restore_keyed(op.checkpoint(), key_fn)
             resumed.push_many(stream[37:])
             return resumed.snapshot()
 
-        compiled, interpreted, resumed = full_run("1"), full_run("0"), interrupted_run()
+        compiled, interpreted = full_run("exact"), full_run("interpreted")
+        resumed = interrupted_run()
         assert list(compiled) == list(interpreted) == list(resumed)
         for key in compiled:
             assert_same_value(compiled[key], interpreted[key], f"key {key!r}")
@@ -414,22 +415,32 @@ def test_binder_scopes_and_callee_order_in_both_contexts():
 
 
 def test_oracle_agrees_with_and_without_jit(monkeypatch):
-    """check_expr_equivalence must accept/reject identically either way."""
+    """check_expr_equivalence must accept/reject identically whether its
+    expressions are compiled or interpreted."""
+    from repro.core import equivalence
+
     rfs = RFS(entries={"s": Call("length", (ListVar("xs"),))}, list_param="xs")
     config = SynthesisConfig(timeout_s=10)
     good = Call("add", (Var("s"), Const(1)))  # len(xs ++ [x]) == s + 1
     bad = Call("add", (Var("s"), Var("x")))
     spec = Call("length", (ListVar("xs"),))
-    results = {}
-    for env_value in ("1", "0"):
-        monkeypatch.setenv("REPRO_JIT", env_value)
-        results[env_value] = (
+
+    def verdicts():
+        return (
             check_expr_equivalence(spec, good, rfs, config),
             check_expr_equivalence(spec, bad, rfs, config),
         )
-    assert results["1"] == results["0"]
-    assert results["1"][0] is True
-    assert results["1"][1] is False
+
+    compiled = verdicts()
+    calls = []
+
+    def interpreted_only(expr, params, what):
+        calls.append(what)
+        return None  # "uncompilable": the oracle evaluates on the interpreter
+
+    monkeypatch.setattr(equivalence, "_compiled_evaluator", interpreted_only)
+    assert verdicts() == compiled == (True, False)
+    assert calls  # the interpreter arm really ran
 
 
 # -- the error contract -------------------------------------------------------
@@ -445,7 +456,7 @@ class TestErrorContract:
         # ...and the scheme transparently falls back to the interpreter,
         # which raises exactly as it always did.
         scheme = OnlineScheme((0,), program)
-        assert scheme._resolve_step() == scheme.interpreted_step
+        assert scheme._resolve()[0] == scheme.interpreted_step
         with pytest.raises(EvaluationError):
             scheme.step((0,), 1)
 

@@ -1,7 +1,7 @@
 """Regression tests for the runtime/CLI bugfix batch that rode along with
 the hole-sharding PR: pipeline batched ingestion, sliding-window operator
 reuse, unbounded source specs, exact-rational spec values, and keyed
-``jit=`` forwarding."""
+``backend=`` forwarding."""
 
 from fractions import Fraction
 
@@ -156,6 +156,24 @@ class TestCliMaxElements:
         assert "--max-elements" in capsys.readouterr().err
 
 
+class TestCliBackend:
+    def _scheme_file(self, tmp_path):
+        path = tmp_path / "mean.scheme.json"
+        _scheme("mean").save(path)
+        return str(path)
+
+    def test_run_interpreted_batches(self, tmp_path, capsys):
+        code = main(["run", self._scheme_file(tmp_path), "--source", "counter:100",
+                     "--backend", "interpreted", "--batch-size", "16"])
+        assert code == 0
+        assert "consumed 100 elements; result: 99/2" in capsys.readouterr().out
+
+    def test_removed_interpreter_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", self._scheme_file(tmp_path), "--source", "counter:10", "--no-jit"])
+        assert exc.value.code == 2
+
+
 class TestKeyedJit:
     def _keyed(self, **kwargs):
         scheme = _scheme("mean")
@@ -164,26 +182,25 @@ class TestKeyedJit:
         )
 
     def test_jit_false_reaches_partitions(self):
-        scheme, keyed = self._keyed(jit=False)
+        scheme, keyed = self._keyed(backend="interpreted")
         keyed.push((Fraction(10), "a"))
         partition = keyed.partitions["a"]
         assert partition._step == scheme.interpreted_step
 
-    def test_default_still_compiles(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JIT", raising=False)
+    def test_default_still_compiles(self):
         scheme, keyed = self._keyed()
         keyed.push((Fraction(10), "a"))
         partition = keyed.partitions["a"]
         assert partition._step != scheme.interpreted_step
 
     def test_jit_false_survives_checkpoint_restore(self):
-        scheme, keyed = self._keyed(jit=False)
+        scheme, keyed = self._keyed(backend="interpreted")
         keyed.push((Fraction(10), "a"))
         restored = restore_keyed(
             keyed.checkpoint(),
             key_fn=lambda e: e[1],
             value_fn=lambda e: e[0],
-            jit=False,
+            backend="interpreted",
         )
         assert restored.partitions["a"]._step == restored.scheme.interpreted_step
         restored.push((Fraction(4), "b"))  # new partitions inherit the choice
@@ -191,6 +208,6 @@ class TestKeyedJit:
 
     def test_results_identical_both_backends(self):
         _, compiled = self._keyed()
-        _, interpreted = self._keyed(jit=False)
+        _, interpreted = self._keyed(backend="interpreted")
         events = [(Fraction(i), i % 3) for i in range(30)]
         assert compiled.push_many(events) == interpreted.push_many(events)

@@ -188,6 +188,22 @@ class TestCheckpointRestore:
         assert resumed.snapshot() == pipeline.snapshot()
         assert resumed.push(5) == pipeline.push(5)
 
+    def test_pipeline_restore_honours_backend(self, tmp_path):
+        pipeline = StreamPipeline(
+            {"sum": OnlineOperator(sum_scheme(), backend="interpreted"),
+             "mean": OnlineOperator(mean_scheme(), backend="interpreted")}
+        )
+        pipeline.push_many([1, 2, 3])
+        path = tmp_path / "pipe.ck.json"
+        save_checkpoint(pipeline, path)
+        resumed = load_checkpoint(path, backend="interpreted")
+        for op in resumed.operators.values():
+            assert op._step == op.scheme.interpreted_step
+            assert not op._kernel.compiled
+        assert resumed.push_many([4, 5]) == pipeline.push_many([4, 5])
+        with pytest.raises(ValueError, match="unknown backend"):
+            load_checkpoint(path, backend="bogus")
+
     def test_keyed_checkpoint(self, tmp_path):
         events = [(Fraction(i), i % 3) for i in range(30)]
         keyed = KeyedOperator(

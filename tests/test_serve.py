@@ -283,12 +283,33 @@ class TestServeCli:
         assert "verify: OK" in out
         assert "consumed 300 elements" in out
 
+    def test_serve_verify_on_the_interpreter(self, scheme_file, tmp_path, capsys):
+        code = main([
+            "serve", scheme_file, "--source", "zipf-keys:300:10:5",
+            "--key-field", "1", "--value-field", "0", "--shards", "2",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "50",
+            "--batch-size", "16", "--backend", "interpreted", "--verify",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verify: OK" in out
+        assert "consumed 300 elements" in out
+
+    def test_serve_rejects_the_removed_interpreter_flag(self, scheme_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", scheme_file, "--source", "zipf-keys:30",
+                "--key-field", "1", "--checkpoint-dir", str(tmp_path / "ck"),
+                "--no-jit",
+            ])
+        assert exc.value.code == 2
+
     def test_serve_kill_shard_recovers(self, scheme_file, tmp_path, capsys):
         code = main([
             "serve", scheme_file, "--source", "zipf-keys:400:10:5",
             "--key-field", "1", "--value-field", "0", "--shards", "2",
             "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "50",
-            "--batch-size", "8", "--kill-shard", "0:200", "--verify",
+            "--batch-size", "8", "--fault", "kill:0:200", "--verify",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -300,9 +321,9 @@ class TestServeCli:
         assert main([
             "serve", scheme_file, "--source", "zipf-keys:10",
             "--key-field", "1", "--checkpoint-dir", str(tmp_path / "ck"),
-            "--kill-shard", "9:5",
+            "--fault", "kill:9:5",
         ]) == 2
-        assert "out of range" in capsys.readouterr().err
+        assert "names shard 9" in capsys.readouterr().err
 
     def test_serve_rejects_unbounded_source(self, scheme_file, tmp_path, capsys):
         assert main([

@@ -6,7 +6,7 @@ loop or the interpreter-driven fallback, per operator or across a
 pipeline — must equal sequential per-element ``push`` bit-for-bit over exact rationals
 (states, outputs, counts, exception classes, partial progress on failure).
 These tests enforce the claim on every ground-truth scheme of the suite,
-jit on and off, including keyed and checkpoint-resume paths.
+compiled and interpreted, including keyed and checkpoint-resume paths.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ from repro.ir.nodes import OnlineProgram, Var
 from repro.runtime import KeyedOperator, OnlineOperator, StreamPipeline
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.suites import all_benchmarks, get_benchmark
+
+#: The compiled and the interpreted execution path (test ids kept stable).
+both_backends = pytest.mark.parametrize(
+    "backend", ["exact", "interpreted"], ids=["jit", "nojit"]
+)
 
 
 def assert_same_value(a, b, where=""):
@@ -71,20 +76,20 @@ def extras_for(scheme):
 
 
 class TestBatchKernelEquivalence:
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_push_many_equals_push_on_all_ground_truths(self, jit):
+    @both_backends
+    def test_push_many_equals_push_on_all_ground_truths(self, backend):
         for bench in ground_truths():
             scheme = bench.ground_truth
             elements = stream_for(bench)
             extra = extras_for(scheme)
-            batched = OnlineOperator(scheme, extra, jit=jit)
-            stepped = OnlineOperator(scheme, extra, jit=jit)
+            batched = OnlineOperator(scheme, extra, backend=backend)
+            stepped = OnlineOperator(scheme, extra, backend=backend)
             batched.push_many(elements)
             for element in elements:
                 stepped.push(element)
             assert_same_value(batched.state, stepped.state, bench.name)
             assert batched.count == stepped.count == len(elements)
-            assert batched._kernel.compiled is jit
+            assert batched._kernel.compiled is (backend == "exact")
 
     def test_chunked_push_many_equals_one_shot(self):
         for bench in ground_truths()[::5]:
@@ -137,8 +142,8 @@ class TestBatchKernelEquivalence:
         from_gen.push_many(iter(elements))
         assert_same_value(from_gen.state, from_list.state)
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_partial_progress_on_mid_batch_error(self, jit):
+    @both_backends
+    def test_partial_progress_on_mid_batch_error(self, backend):
         # The If branch referencing an unbound extra only evaluates when
         # x == 3 — the kernel must fail exactly there, with the state and
         # count of the elements before it, like per-element push does.
@@ -147,11 +152,11 @@ class TestBatchKernelEquivalence:
         )
         scheme = OnlineScheme((0,), program, provenance="partial-test")
         elements = [1, 2, 3, 4]
-        stepped = OnlineOperator(scheme, jit=jit)
+        stepped = OnlineOperator(scheme, backend=backend)
         with pytest.raises(EvaluationError):
             for element in elements:
                 stepped.push(element)
-        batched = OnlineOperator(scheme, jit=jit)
+        batched = OnlineOperator(scheme, backend=backend)
         with pytest.raises(EvaluationError):
             batched.push_many(elements)
         assert batched.state == stepped.state == (3,)
@@ -178,7 +183,7 @@ class TestBatchKernelEquivalence:
         program = OnlineProgram(("x", "n"), "x", (add("x", "n"), add("n", 1)))
         assert compile_online(program)[1] is None
         scheme = OnlineScheme((0, 0), program, provenance="shadowed")
-        kernel = scheme._resolve_kernel()
+        kernel = scheme._resolve()[1]
         assert not kernel.compiled
         batched = OnlineOperator(scheme)
         stepped = OnlineOperator(scheme)
@@ -193,7 +198,7 @@ class TestBatchKernelEquivalence:
 
         program = OnlineProgram(("s",), "x", (add("s", Hole(0)),))
         scheme = OnlineScheme((0,), program, provenance="holey")
-        kernel = scheme._resolve_kernel()
+        kernel = scheme._resolve()[1]
         assert not kernel.compiled
         with pytest.raises(EvaluationError):
             OnlineOperator(scheme).push_many([1])
@@ -235,11 +240,11 @@ class TestKeyedBatch:
     def _events(self, n=48):
         return [(Fraction(1 + (i * 7) % 11, 1 + i % 2), i % 5) for i in range(n)]
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_grouped_push_many_equals_push(self, jit):
+    @both_backends
+    def test_grouped_push_many_equals_push(self, backend):
         scheme = get_benchmark("q_avg_price").ground_truth
         make = lambda: KeyedOperator(  # noqa: E731
-            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0], jit=jit
+            scheme, key_fn=lambda e: e[1], value_fn=lambda e: e[0], backend=backend
         )
         events = self._events()
         batched, stepped = make(), make()
@@ -275,8 +280,8 @@ class TestKeyedBatch:
         assert keyed.snapshot() == reference.snapshot()
         assert keyed.count == boom_at
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_step_failure_has_per_push_parity(self, jit):
+    @both_backends
+    def test_step_failure_has_per_push_parity(self, backend):
         scheme = OnlineScheme(
             (0,),
             OnlineProgram(
@@ -297,12 +302,12 @@ class TestKeyedBatch:
         ]
         for events, expected in cases:
             batched = KeyedOperator(
-                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], backend=backend
             )
             with pytest.raises(EvaluationError):
                 batched.push_many(events)
             stepped = KeyedOperator(
-                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], jit=jit
+                scheme, key_fn=lambda e: e[0], value_fn=lambda e: e[1], backend=backend
             )
             with pytest.raises(EvaluationError):
                 for event in events:
@@ -313,17 +318,17 @@ class TestKeyedBatch:
             assert list(batched.partitions) == list(stepped.partitions) == list(expected)
             assert batched.checkpoint() == stepped.checkpoint()
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_checkpoint_resume_with_batches(self, tmp_path, jit):
+    @both_backends
+    def test_checkpoint_resume_with_batches(self, tmp_path, backend):
         scheme = get_benchmark("q_avg_price").ground_truth
         events = self._events()
         key_fn = lambda e: e[1]  # noqa: E731
         value_fn = lambda e: e[0]  # noqa: E731
-        keyed = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn, jit=jit)
+        keyed = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn, backend=backend)
         keyed.push_many(events[:20])
         path = tmp_path / "keyed.ck.json"
         save_checkpoint(keyed, path)
-        resumed = load_checkpoint(path, key_fn=key_fn, value_fn=value_fn)
+        resumed = load_checkpoint(path, key_fn=key_fn, value_fn=value_fn, backend=backend)
         resumed.push_many(events[20:])
         uninterrupted = KeyedOperator(scheme, key_fn=key_fn, value_fn=value_fn)
         for event in events:
@@ -358,10 +363,10 @@ class TestFusedPipeline:
             for name in ("mean", "max", "variance", "count")
         }
 
-    def _pipeline(self, jit=None):
+    def _pipeline(self, backend=None):
         return StreamPipeline(
             {
-                name: OnlineOperator(scheme, jit=jit)
+                name: OnlineOperator(scheme, backend=backend)
                 for name, scheme in self._schemes().items()
             }
         )
@@ -381,8 +386,8 @@ class TestFusedPipeline:
             assert_same_value(op.state, stepped.operators[name].state, name)
             assert op.count == stepped.operators[name].count
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_pipeline_equals_push_on_all_ground_truths(self, jit):
+    @both_backends
+    def test_pipeline_equals_push_on_all_ground_truths(self, backend):
         # One pipeline per element arity over every ground truth, fed in
         # uneven chunks: snapshots, states and counts match push.
         by_arity: dict[int, list] = {}
@@ -393,7 +398,7 @@ class TestFusedPipeline:
                 return StreamPipeline(
                     {
                         b.name: OnlineOperator(
-                            b.ground_truth, extras_for(b.ground_truth), jit=jit
+                            b.ground_truth, extras_for(b.ground_truth), backend=backend
                         )
                         for b in benches
                     }
@@ -416,7 +421,7 @@ class TestFusedPipeline:
             {
                 "mean": OnlineOperator(get_benchmark("mean").ground_truth),
                 "max": OnlineOperator(
-                    get_benchmark("max").ground_truth, jit=False
+                    get_benchmark("max").ground_truth, backend="interpreted"
                 ),
             }
         )
@@ -477,7 +482,7 @@ class TestFusedPipeline:
 
     def test_duplicate_operator_object_declines_fusion(self):
         # One operator under two names: the shared state is drained once
-        # per name, in both jit modes.
+        # per name.
         elements = self._elements(12)
         op = OnlineOperator(get_benchmark("mean").ground_truth)
         pipeline = StreamPipeline({"a": op, "b": op})
@@ -488,17 +493,17 @@ class TestFusedPipeline:
         assert snapshot == {"a": reference.value, "b": reference.value}
         assert op.count == reference.count
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_error_semantics_identical_across_backends(self, jit):
+    @both_backends
+    def test_error_semantics_identical_across_backends(self, backend):
         # Per-push failure parity on BOTH paths: whatever backend runs, a
         # mid-batch error leaves every operator exactly where sequential
         # push would — so a checkpoint taken after catching the error is
-        # bit-for-bit identical across jit modes.
+        # bit-for-bit identical across backends.
         def build():
             return StreamPipeline(
                 {
                     "var": OnlineOperator(
-                        get_benchmark("variance").ground_truth, jit=jit
+                        get_benchmark("variance").ground_truth, backend=backend
                     ),
                     "bad": OnlineOperator(
                         OnlineScheme(
@@ -510,7 +515,7 @@ class TestFusedPipeline:
                             ),
                             provenance="bad",
                         ),
-                        jit=jit,
+                        backend=backend,
                     ),
                 }
             )
@@ -526,7 +531,7 @@ class TestFusedPipeline:
             assert_same_value(
                 pipeline.operators[name].state,
                 reference.operators[name].state,
-                f"{name} jit={jit}",
+                f"{name} backend={backend}",
             )
             assert (
                 pipeline.operators[name].count
@@ -560,8 +565,8 @@ class TestFusedPipeline:
         assert pipeline.operators["count"].state == (2,)
         assert [op.count for op in pipeline.operators.values()] == [2, 2]
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_raising_source_keeps_prefix_like_push(self, jit):
+    @both_backends
+    def test_raising_source_keeps_prefix_like_push(self, backend):
         # A source that dies after two elements: push applies both, and so
         # must push_many — the prefix drains, then the error propagates.
         def two_then_boom():
@@ -569,10 +574,10 @@ class TestFusedPipeline:
             yield 3
             raise RuntimeError("source died")
 
-        batched = self._pipeline(jit)
+        batched = self._pipeline(backend)
         with pytest.raises(RuntimeError, match="source died"):
             batched.push_many(two_then_boom())
-        stepped = self._pipeline(jit)
+        stepped = self._pipeline(backend)
         with pytest.raises(RuntimeError, match="source died"):
             for element in two_then_boom():
                 stepped.push(element)
@@ -581,11 +586,11 @@ class TestFusedPipeline:
             assert_same_value(batched.operators[name].state, op.state, name)
             assert batched.operators[name].count == op.count
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_empty_batch_leaves_every_operator_untouched(self, jit):
+    @both_backends
+    def test_empty_batch_leaves_every_operator_untouched(self, backend):
         # A state of the wrong arity only fails once an element is applied;
         # an empty batch must return unchanged in both modes, as push would.
-        pipeline = self._pipeline(jit)
+        pipeline = self._pipeline(backend)
         pipeline.operators["variance"].state = (0,)
         before = {name: (op.state, op.count) for name, op in pipeline.operators.items()}
         assert pipeline.push_many([]) == pipeline.snapshot()

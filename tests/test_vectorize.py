@@ -6,8 +6,9 @@ rationals, float64 opt-ins diverge by IEEE-754 rounding only, and every
 unadmitted scheme or out-of-contract batch transparently runs on the exact
 :class:`~repro.ir.compile.StepKernel` with its usual partial-progress
 semantics.  These tests enforce the claim on every ground-truth scheme of
-the suite — jit on and off, chunked and empty batches, keyed partitions,
-bailouts, pipelines, and cross-backend checkpoint/restore.
+the suite — against the compiled and the interpreted exact paths, chunked
+and empty batches, keyed partitions, bailouts, pipelines, and
+cross-backend checkpoint/restore.
 
 The whole module degrades to exact-path assertions when NumPy is absent
 (admission itself is pure structural analysis and never needs NumPy).
@@ -151,8 +152,8 @@ class TestAdmission:
 class TestDifferentialGroundTruths:
     """Columnar vs exact over every ground-truth scheme of the suite."""
 
-    @pytest.mark.parametrize("jit", [True, False], ids=["jit", "nojit"])
-    def test_columnar_differential_all_ground_truths(self, jit):
+    @pytest.mark.parametrize("reference", ["exact", "interpreted"], ids=["jit", "nojit"])
+    def test_columnar_differential_all_ground_truths(self, reference):
         int64_seen = float64_seen = declined = 0
         for bench in ground_truths():
             scheme = bench.ground_truth
@@ -161,9 +162,9 @@ class TestDifferentialGroundTruths:
             bounds = bounds_for(
                 elements, bench.element_arity, scheme.program.extra_params
             )
-            exact = OnlineOperator(scheme, extra, jit=jit)
+            exact = OnlineOperator(scheme, extra, backend=reference)
             columnar = OnlineOperator(
-                scheme, extra, jit=jit, backend="columnar", bounds=bounds
+                scheme, extra, backend="columnar", bounds=bounds
             )
             exact.push_many(elements)
             columnar.push_many(elements)
@@ -458,21 +459,13 @@ class TestKernelCache:
         scheme.invalidate_compiled()
         assert scheme._artifacts == {}
 
-    @pytest.mark.parametrize("first", [True, False], ids=["jit-first", "nojit-first"])
-    def test_columnar_bailouts_follow_the_operator_jit(self, first):
-        # The exact kernel a columnar kernel bails out to is resolved under
-        # the requesting operator's jit; an operator built after one with
-        # the other setting must not inherit that operator's kernel.
+    def test_columnar_bailouts_run_on_the_compiled_exact_kernel(self):
         bench = get_benchmark("sum")
         scheme = OnlineScheme.loads(bench.ground_truth.dumps())  # cold cache
         bounds = bounds_for(int_stream(bench), 1)
-        ops = {
-            jit: OnlineOperator(scheme, jit=jit, backend="auto", bounds=bounds)
-            for jit in (first, not first)
-        }
-        for jit, op in ops.items():
-            assert op.backend_in_use == "columnar"
-            assert op._kernel.exact.compiled is jit
+        op = OnlineOperator(scheme, backend="auto", bounds=bounds)
+        assert op.backend_in_use == "columnar"
+        assert op._kernel.exact is scheme.compiled_kernel()
 
     def test_uncertified_scheme_compiles_to_none(self):
         scheme = get_benchmark("mean").ground_truth

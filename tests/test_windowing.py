@@ -1,6 +1,6 @@
 """Windowing helpers (:func:`tumbling`, :func:`sliding`) under the batch
-kernels: differential jit-on/off, degenerate window shapes, and equality
-with a per-push reference implementation.
+kernels: differential against the interpreter, degenerate window shapes,
+and equality with a per-push reference implementation.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ def elements(n=23):
     return out
 
 
-def reference_tumbling(scheme, source, size, extra=None):
+def reference_tumbling(scheme, source, size, extra=None, backend=None):
     """The pre-kernel implementation: one push per element, reset per
     window — the specification the chunked version must match."""
-    op = OnlineOperator(scheme, extra)
+    op = OnlineOperator(scheme, extra, backend=backend)
     filled = 0
     for element in source:
         op.push(element)
@@ -44,12 +44,12 @@ def reference_tumbling(scheme, source, size, extra=None):
         yield op.value
 
 
-def reference_sliding(scheme, source, size, extra=None):
+def reference_sliding(scheme, source, size, extra=None, backend=None):
     buffer: list = []
     for element in source:
         buffer.append(element)
         window = buffer[-size:]
-        op = OnlineOperator(scheme, extra)
+        op = OnlineOperator(scheme, extra, backend=backend)
         for item in window:
             op.push(item)
         yield op.value
@@ -69,17 +69,14 @@ class TestTumbling:
         for i, (a, b) in enumerate(zip(got, want)):
             assert_same_value(a, b, f"{name} size={size} window {i}")
 
-    def test_jit_on_off_identical(self, monkeypatch):
+    def test_jit_on_off_identical(self):
         source = elements()
-        with_jit = {
-            name: list(tumbling(get_benchmark(name).ground_truth, source, 5))
-            for name in SCHEMES
-        }
-        monkeypatch.setenv("REPRO_JIT", "0")
         for name in SCHEMES:
-            no_jit = list(tumbling(get_benchmark(name).ground_truth, source, 5))
-            assert len(no_jit) == len(with_jit[name])
-            for i, (a, b) in enumerate(zip(no_jit, with_jit[name])):
+            scheme = get_benchmark(name).ground_truth
+            compiled = list(tumbling(scheme, source, 5))
+            interpreted = list(reference_tumbling(scheme, source, 5, backend="interpreted"))
+            assert len(interpreted) == len(compiled)
+            for i, (a, b) in enumerate(zip(interpreted, compiled)):
                 assert_same_value(a, b, f"{name} window {i}")
 
     def test_empty_source_yields_nothing(self):
@@ -121,16 +118,14 @@ class TestSliding:
         for i, (a, b) in enumerate(zip(got, want)):
             assert_same_value(a, b, f"{name} size={size} at {i}")
 
-    def test_jit_on_off_identical(self, monkeypatch):
+    def test_jit_on_off_identical(self):
         source = elements()
-        with_jit = {
-            name: list(sliding(get_benchmark(name).ground_truth, source, 4))
-            for name in SCHEMES
-        }
-        monkeypatch.setenv("REPRO_JIT", "0")
         for name in SCHEMES:
-            no_jit = list(sliding(get_benchmark(name).ground_truth, source, 4))
-            for i, (a, b) in enumerate(zip(no_jit, with_jit[name])):
+            scheme = get_benchmark(name).ground_truth
+            compiled = list(sliding(scheme, source, 4))
+            interpreted = list(reference_sliding(scheme, source, 4, backend="interpreted"))
+            assert len(interpreted) == len(compiled)
+            for i, (a, b) in enumerate(zip(interpreted, compiled)):
                 assert_same_value(a, b, f"{name} at {i}")
 
     def test_empty_source_yields_nothing(self):
