@@ -95,24 +95,17 @@ The compile/load/deploy lifecycle, plus the evaluation workflows:
 
 * ``bench`` — run solvers over the suite and print summaries or regenerate
   a paper artifact.  The target is either a domain (``stats`` / ``auction``
-  / ``all``, default), a named artifact (``table1``, ``table2``, ``fig11``,
-  ``fig13``), or ``holes``::
+  / ``all``, default) or a named artifact (``table1``, ``table2``,
+  ``fig11``, ``fig13``)::
 
       python -m repro bench --solver opera --domain stats --timeout 10
-      python -m repro bench table1 --workers 4 --hole-workers 2
+      python -m repro bench table1 --workers 4
       python -m repro bench table2 --workers 8 --no-cache
-      python -m repro bench holes --hole-workers 4 --out BENCH_holes.json
 
-  ``--workers`` shards (solver, benchmark) tasks across processes;
-  ``--hole-workers`` / ``REPRO_HOLE_WORKERS`` additionally spread one
-  task's sketch holes across processes (identical reports and cache keys,
-  only faster — see :mod:`repro.core.parallel_synthesize`).  ``bench
-  holes`` measures exactly that speedup on multi-hole tasks, fails when a
-  parallel report differs from its sequential twin, and gates on
-  ``--assert-speedup`` (:mod:`repro.evaluation.hole_bench`).  Throughput
-  of the runtime and serve tiers is measured by the repository benchmark,
-  ``python3 perfbench/run.py``; ``repro run`` and ``repro serve`` take
-  ``--backend interpreted`` to force the interpreter.
+  Throughput of synthesis and of the runtime and serve tiers is measured
+  by the repository benchmark, ``python3 perfbench/run.py``; ``repro run``
+  and ``repro serve`` take ``--backend interpreted`` to force the
+  interpreter.
 
   Runs shard (solver, benchmark) tasks over ``--workers`` processes with
   hard wall-clock kills, and reuse cached per-task results from previous
@@ -142,7 +135,6 @@ from .diskstore import atomic_write
 from .evaluation import (
     ResultCache,
     ascii_cdf,
-    default_hole_workers,
     default_timeout,
     default_workers,
     resolve_cache,
@@ -169,7 +161,7 @@ from .store import SchemeStore, resolve_store
 from .suites import all_benchmarks, benchmarks_for, get_benchmark
 
 #: Artifact names accepted as ``bench`` targets, besides domains.
-ARTIFACTS = ("table1", "table2", "fig11", "fig13", "holes")
+ARTIFACTS = ("table1", "table2", "fig11", "fig13")
 DOMAINS = ("stats", "auction", "all")
 
 
@@ -191,21 +183,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         return 2
 
     print(f"offline program:\n  {pretty_program(program)}\n")
-    try:
-        hole_workers = (
-            args.hole_workers if args.hole_workers is not None else default_hole_workers()
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if hole_workers < 1:
-        print(f"error: --hole-workers must be >= 1, got {hole_workers}", file=sys.stderr)
-        return 2
-    config = SynthesisConfig(
-        timeout_s=args.timeout,
-        element_arity=element_arity,
-        hole_workers=hole_workers,
-    )
+    config = SynthesisConfig(timeout_s=args.timeout, element_arity=element_arity)
     report = synthesize(program, config, name)
     print(report.summary_line())
     if report.scheme is None:
@@ -285,73 +263,6 @@ def _bench_fig13(args, config, workers, cache) -> int:
     return 0
 
 
-def _bench_holes(args, timeout: float) -> int:
-    """``repro bench holes`` — wall-clock of sequential vs hole-parallel
-    synthesis on multi-hole tasks (reports must be identical; see
-    :mod:`repro.evaluation.hole_bench`).
-
-    Writes ``BENCH_holes.json`` with --out; --assert-speedup is the CI gate
-    (skipped with a warning on single-core machines, where a parallel
-    wall-clock win is physically impossible).
-    """
-    from .evaluation.hole_bench import (
-        format_holes_report,
-        run_hole_benchmark,
-        write_holes_report,
-    )
-
-    if args.hole_workers is not None and args.hole_workers < 2:
-        # The benchmark compares sequential vs parallel, so an explicit 1
-        # cannot be honoured — refuse rather than silently measure with 2.
-        print("error: bench holes needs --hole-workers >= 2 (it compares "
-              "against the sequential run)", file=sys.stderr)
-        return 2
-    names = None
-    if args.task:
-        names = [t for chunk in args.task for t in chunk.split(",") if t]
-    try:
-        report = run_hole_benchmark(
-            names,
-            # No explicit flag: ignore the REPRO_HOLE_WORKERS suite default
-            # (it may be 1) and compare against two workers.
-            hole_workers=args.hole_workers if args.hole_workers else 2,
-            timeout_s=timeout,
-            repeats=args.repeats,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
-        print(f"error: parallel/sequential reports diverge: {exc}", file=sys.stderr)
-        return 1
-    print(format_holes_report(report))
-    if args.out:
-        write_holes_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.assert_speedup is not None:
-        best = max(
-            (entry["speedup"] for entry in report["benchmarks"].values()),
-            default=0.0,
-        )
-        if report["cpu_count"] < 2:
-            print(
-                f"warning: only {report['cpu_count']} CPU core(s) — a parallel "
-                f"wall-clock speedup is not measurable here; best was "
-                f"{best:.2f}x, gate skipped",
-                file=sys.stderr,
-            )
-        elif best < args.assert_speedup:
-            print(
-                f"error: best hole-parallel speedup {best:.2f}x is below the "
-                f"{args.assert_speedup}x gate",
-                file=sys.stderr,
-            )
-            return 1
-        else:
-            print(f"best hole-parallel speedup {best:.2f}x >= {args.assert_speedup}x")
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         timeout = args.timeout if args.timeout is not None else default_timeout()
@@ -363,26 +274,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         # wall-clock kill (nan never compares past a deadline).
         print(f"error: --timeout must be positive and finite, got {timeout}", file=sys.stderr)
         return 2
-    if args.target == "holes":
-        # Runs in-process and compares 1 worker against --hole-workers, so
-        # the REPRO_BENCH_WORKERS / REPRO_HOLE_WORKERS defaults do not apply.
-        return _bench_holes(args, timeout)
     try:
         workers = args.workers if args.workers is not None else default_workers()
-        hole_workers = (
-            args.hole_workers if args.hole_workers is not None else default_hole_workers()
-        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if workers < 1:
         print(f"error: --workers must be >= 1, got {workers}", file=sys.stderr)
         return 2
-    if hole_workers < 1:
-        print(f"error: --hole-workers must be >= 1, got {hole_workers}", file=sys.stderr)
-        return 2
     cache = resolve_cache(enabled=False if args.no_cache else None, directory=args.cache_dir)
-    config = SynthesisConfig(timeout_s=timeout, hole_workers=hole_workers)
+    config = SynthesisConfig(timeout_s=timeout)
 
     if args.target == "table1":
         code = _bench_table1(args, config, workers, cache)
@@ -1224,12 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--python", help="path to a Python batch function")
     p_syn.add_argument("--sexpr", help="path to an s-expression program")
     p_syn.add_argument("--timeout", type=float, default=60.0)
-    p_syn.add_argument(
-        "--hole-workers", type=int, default=None,
-        help="processes for intra-task hole-level parallelism (default: "
-        "REPRO_HOLE_WORKERS or 1; results are identical to sequential "
-        "synthesis, only faster)",
-    )
     p_syn.set_defaults(func=_cmd_synthesize)
 
     p_bench = sub.add_parser("bench", help="run solvers over the suite / regenerate an artifact")
@@ -1238,7 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         choices=DOMAINS + ARTIFACTS,
-        help="domain to run, paper artifact to regenerate, or `holes`",
+        help="domain to run or paper artifact to regenerate",
     )
     p_bench.add_argument("--solver", default="opera", choices=sorted(SOLVERS))
     p_bench.add_argument("--domain", default="all", choices=list(DOMAINS))
@@ -1257,14 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enables hard wall-clock kills of runaway tasks)",
     )
     p_bench.add_argument(
-        "--hole-workers",
-        type=int,
-        default=None,
-        help="processes for intra-task hole-level parallelism within each "
-        "synthesis task (default: REPRO_HOLE_WORKERS or 1; never changes "
-        "reports or cache keys, only wall-clock)",
-    )
-    p_bench.add_argument(
         "--no-cache",
         action="store_true",
         help="ignore and do not update the persistent result cache",
@@ -1273,24 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="result cache location (default: REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    holes_group = p_bench.add_argument_group(
-        "holes target", "options for `repro bench holes` (wall-clock of "
-        "sequential vs hole-parallel synthesis on multi-hole tasks; also "
-        "uses --task/--hole-workers/--timeout)"
-    )
-    holes_group.add_argument(
-        "--repeats", type=int, default=3,
-        help="take the best of N interleaved runs per mode (default: 3)",
-    )
-    holes_group.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the report as JSON (e.g. BENCH_holes.json)",
-    )
-    holes_group.add_argument(
-        "--assert-speedup", type=float, default=None, metavar="X",
-        help="exit 1 if the best hole-parallel speedup is below X (CI gate; "
-             "warns and skips below 2 cores)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -12,12 +12,10 @@ class SynthesisTimeout(SynthesisError):
 
 
 class EnumerationCapExceeded(SynthesisTimeout):
-    """A *deterministic* enumeration work cap was hit (candidates kept or
-    generated).  Unlike its wall-clock parent this is a pure function of the
-    search, not of the machine — enumeration shards rely on that to give up
-    identically in any process (:func:`repro.core.enumerative
-    .enumerate_sharded` treats it as "this shard found nothing" and moves
-    on, while a wall-clock timeout still aborts the whole task)."""
+    """The enumerator kept more distinct behaviours than
+    ``SynthesisConfig.enumeration_max_kept`` allows (its memory cap).
+    Unlike its wall-clock parent this is a pure function of the search, not
+    of the machine, so the failure replays identically on any host."""
 
 
 class HoleSynthesisFailure(SynthesisError):

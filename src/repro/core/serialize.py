@@ -82,6 +82,13 @@ def encode_value(value: Value) -> Any:
     raise SchemeFormatError(f"cannot serialize value of type {type(value).__name__}")
 
 
+def _decode_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise SchemeFormatError(f"int literal of {len(text)} digits is too long") from None
+
+
 def decode_value(data: Any) -> Value:
     """Strict inverse of :func:`encode_value`."""
     if isinstance(data, bool):
@@ -94,7 +101,7 @@ def decode_value(data: Any) -> Value:
     if tag == "int" and len(rest) == 1 and isinstance(rest[0], str):
         if not _INT_RE.match(rest[0]):
             raise SchemeFormatError(f"malformed int literal {rest[0]!r}")
-        return int(rest[0])
+        return _decode_int(rest[0])
     if (
         tag == "rat"
         and len(rest) == 2
@@ -103,7 +110,7 @@ def decode_value(data: Any) -> Value:
         and _POS_INT_RE.match(rest[1])
         and rest[1] != "0"
     ):
-        return Fraction(int(rest[0]), int(rest[1]))
+        return Fraction(_decode_int(rest[0]), _decode_int(rest[1]))
     if tag == "float" and len(rest) == 1 and isinstance(rest[0], str):
         try:
             return float(rest[0])
@@ -172,7 +179,8 @@ def dumps_scheme(scheme, *, indent: int | None = 2) -> str:
 def loads_scheme(text: str):
     """Parse JSON text produced by :func:`dumps_scheme`, strictly validated."""
     try:
-        data = json.loads(text)
+        return scheme_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SchemeFormatError(f"not valid JSON: {exc}") from None
-    return scheme_from_dict(data)
+    except RecursionError:
+        raise SchemeFormatError("JSON nested too deeply") from None

@@ -23,11 +23,7 @@ from ..ir.pretty import pretty
 from ..ir.traversal import ast_size, fill_holes, validate_online_expr
 from .config import SynthesisConfig
 from .decompose import Sketch, decompose
-from .enumerative import (
-    enumerate_expression,
-    enumerate_sharded,
-    seeds_from_template,
-)
+from .enumerative import enumerate_expression, seeds_from_template
 from .equivalence import check_expr_equivalence, check_scheme_equivalence
 from .exceptions import (
     HoleSynthesisFailure,
@@ -51,17 +47,9 @@ def synthesize_expr(
     spec: Expr,
     config: SynthesisConfig,
     salt: str = "",
-    enum_shard: int | None = None,
 ) -> tuple[Expr, str]:
     """Algorithm 4: find an online expression equivalent to ``spec`` modulo
-    the RFS.  Returns ``(expression, method)``; raises on failure.
-
-    ``enum_shard`` restricts the enumerative fallback to one shard of the
-    ``config.enum_shards`` portfolio (see
-    :func:`~repro.core.enumerative.enumerate_sharded`); the symbolic phases
-    always run in full, so every shard of a symbolically-solvable hole
-    agrees on the same answer.
-    """
+    the RFS.  Returns ``(expression, method)``; raises on failure."""
     if config.expired():
         raise SynthesisTimeout("budget exhausted before expression synthesis")
 
@@ -91,10 +79,7 @@ def synthesize_expr(
                     return solved, "template"
             seeds = seeds_from_template(template)
 
-    if config.enum_shards > 1:
-        found = enumerate_sharded(rfs, spec, config, seeds=seeds, salt=salt, only_shard=enum_shard)
-    else:
-        found = enumerate_expression(rfs, spec, config, seeds=seeds, salt=salt)
+    found = enumerate_expression(rfs, spec, config, seeds=seeds, salt=salt)
     if found is not None:
         return simplify_expr(found), "enumerative"
     raise HoleSynthesisFailure(0, pretty(spec))
@@ -103,20 +88,8 @@ def synthesize_expr(
 def _solve_sketch(
     rfs: RFS, sketch: Sketch, config: SynthesisConfig, report: SynthesisReport
 ) -> OnlineProgram:
-    """Algorithm 3: solve every hole independently and fill the sketch.
-
-    With ``config.hole_workers > 1`` the independent holes (Lemma 1) are
-    dispatched over a process pool instead — same report, same failures,
-    modulo wall-clock; see :mod:`repro.core.parallel_synthesize`.
-    """
-    if config.hole_workers > 1:
-        from .parallel_synthesize import solve_sketch_parallel
-
-        online = solve_sketch_parallel(rfs, sketch, config, report)
-        if online is not None:
-            return online
-        # The pool declined (single sub-task, or we are already inside a
-        # daemonic worker): fall through to the sequential loop.
+    """Algorithm 3: solve every hole with its own specification (Lemma 1),
+    one after another, and fill the sketch."""
     fills: dict[int, Expr] = {}
     for hole_id, spec in sorted(sketch.specs.items()):
         if config.expired():

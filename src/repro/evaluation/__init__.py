@@ -6,11 +6,10 @@ content-addressed result cache (:mod:`repro.evaluation.cache`); see
 ``run_suite(workers=..., cache=...)`` and the ``--workers`` / ``--no-cache``
 flags of ``python -m repro bench``.
 
-Two harnesses ride along: ``repro bench holes`` times sequential against
-hole-parallel synthesis (:mod:`repro.evaluation.hole_bench`), and ``repro
-chaos`` runs seeded fault-injection trials against the serve runtime
-(:mod:`repro.evaluation.chaos`).  Performance of synthesis, the runtime and
-serve is measured by the repository benchmark under ``perfbench/``.
+One harness rides along: ``repro chaos`` runs seeded fault-injection
+trials against the serve runtime (:mod:`repro.evaluation.chaos`).
+Performance of synthesis, the runtime and serve is measured by the
+repository benchmark under ``perfbench/``.
 """
 
 from .cache import ResultCache, cache_enabled, default_cache_dir, resolve_cache
@@ -22,8 +21,7 @@ from .export import (
     suite_to_records,
     write_artifacts,
 )
-from .hole_bench import run_hole_benchmark
-from .parallel import Task, default_hole_workers, default_workers, execute_tasks
+from .parallel import Task, default_workers, execute_tasks
 from .runner import SuiteResult, default_timeout, run_matrix, run_suite
 from .tables import qualitative, table1, table2
 
@@ -36,7 +34,6 @@ __all__ = [
     "cache_enabled",
     "cdf_series",
     "default_cache_dir",
-    "default_hole_workers",
     "default_timeout",
     "default_workers",
     "execute_tasks",
@@ -44,7 +41,6 @@ __all__ = [
     "matrix_to_json",
     "qualitative",
     "resolve_cache",
-    "run_hole_benchmark",
     "run_matrix",
     "run_suite",
     "suite_to_records",

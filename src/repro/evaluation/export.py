@@ -3,8 +3,8 @@
 The ASCII tables are for humans; these exporters produce
 machine-consumable records so results can be diffed across runs, plotted
 externally, or archived next to ``bench_output.txt``.  The
-:func:`bench_metadata` provenance block rides along in the holes and chaos
-reports.
+:func:`bench_metadata` provenance block rides along in the chaos
+report.
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def git_commit(cwd: str | None = None) -> str:
 
 
 def bench_metadata() -> dict:
-    """The ``meta`` block of a holes or chaos report: which commit, when,
-    and what kind of clock produced the timings."""
+    """The ``meta`` block of a chaos report: which commit, when, and what
+    kind of clock produced the timings."""
     now = datetime.datetime.now(datetime.timezone.utc)
     return {
         "git_commit": git_commit(),

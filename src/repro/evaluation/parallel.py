@@ -17,9 +17,8 @@ supervisor can enforce the budget from the outside:
   :class:`~repro.evaluation.runner.SuiteResult`.
 
 The spawn/reap/deadline core lives in :class:`repro.supervisor.
-ProcessSupervisor`, shared with the hole-level parallelism of
-:mod:`repro.core.parallel_synthesize`; this module only maps its generic
-job results onto :class:`~repro.core.report.SynthesisReport`.
+ProcessSupervisor`; this module only maps its generic job results onto
+:class:`~repro.core.report.SynthesisReport`.
 
 Workers are forked where available (Linux; solver and program reach the
 child by inheritance) and spawned elsewhere, in which case task payloads
@@ -27,9 +26,7 @@ must be picklable — which :class:`~repro.core.config.SynthesisConfig`,
 :class:`~repro.suites.registry.Benchmark` and the registered solvers all
 guarantee.  One process per task keeps the kill path trivial (no pool
 state to repair) and is cheap relative to a synthesis call.  Task workers
-are daemonic unless a task asks for intra-task hole parallelism
-(``config.hole_workers > 1``), in which case they must be allowed children
-of their own.
+are daemonic, so a dying harness cannot leak them.
 """
 
 from __future__ import annotations
@@ -46,16 +43,10 @@ from ..supervisor import KILL_GRACE_S, Job, ProcessSupervisor
 #: Environment knob for the default worker count of the benchmark harness.
 WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
-#: Environment knob for the default *intra-task* hole worker count
-#: (:mod:`repro.core.parallel_synthesize`).
-HOLE_WORKERS_ENV = "REPRO_HOLE_WORKERS"
-
 __all__ = [
-    "HOLE_WORKERS_ENV",
     "KILL_GRACE_S",
     "Task",
     "WORKERS_ENV",
-    "default_hole_workers",
     "default_workers",
     "execute_tasks",
 ]
@@ -77,11 +68,6 @@ def _positive_int_env(name: str, fallback: int) -> int:
 def default_workers(fallback: int = 1) -> int:
     """Worker count from ``REPRO_BENCH_WORKERS``, validated like a budget."""
     return _positive_int_env(WORKERS_ENV, fallback)
-
-
-def default_hole_workers(fallback: int = 1) -> int:
-    """Intra-task hole worker count from ``REPRO_HOLE_WORKERS``, validated."""
-    return _positive_int_env(HOLE_WORKERS_ENV, fallback)
 
 
 @dataclass(frozen=True)
@@ -139,13 +125,7 @@ def execute_tasks(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    supervisor = ProcessSupervisor(
-        workers,
-        kill_grace_s=kill_grace_s,
-        # Daemonic children cannot spawn the grandchildren hole-level
-        # parallelism needs; keep the daemon safety net otherwise.
-        daemon=not any(task.config.hole_workers > 1 for task in tasks),
-    )
+    supervisor = ProcessSupervisor(workers, kill_grace_s=kill_grace_s)
     jobs = [
         Job(
             key=task,

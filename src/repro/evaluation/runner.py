@@ -33,7 +33,7 @@ from ..core.config import SynthesisConfig
 from ..core.report import SynthesisReport
 from ..suites.registry import Benchmark
 from .cache import ResultCache
-from .parallel import Task, default_hole_workers, default_workers, execute_tasks
+from .parallel import Task, default_workers, execute_tasks
 
 #: Environment knob for scaling per-task budgets in the benchmark harness.
 TIMEOUT_ENV = "REPRO_BENCH_TIMEOUT"
@@ -41,7 +41,6 @@ TIMEOUT_ENV = "REPRO_BENCH_TIMEOUT"
 __all__ = [
     "SuiteResult",
     "TIMEOUT_ENV",
-    "default_hole_workers",
     "default_timeout",
     "default_workers",
     "run_matrix",
@@ -135,9 +134,7 @@ def run_suite(
     (cached results first).  The returned ``SuiteResult`` lists reports in
     benchmark order in both modes.
     """
-    base = config or SynthesisConfig(
-        timeout_s=default_timeout(), hole_workers=default_hole_workers()
-    )
+    base = config or SynthesisConfig(timeout_s=default_timeout())
     result = SuiteResult(solver=solver.name)
 
     def emit(report: SynthesisReport) -> None:

@@ -49,9 +49,13 @@ _RAT_RE = re.compile(r"^(-?\d+)/(\d+)$")
 _FLOAT_RE = re.compile(r"^-?\d+(\.\d+([eE][+-]?\d+)?|[eE][+-]?\d+)$")
 _HOLE_RE = re.compile(r"^\?hole(\d+)$")
 
+#: Deepest parenthesis nesting accepted.  Deeper input would exhaust the
+#: interpreter's stack here or in the recursive passes that follow.
+_MAX_DEPTH = 200
+
 
 class ParseError(Exception):
-    pass
+    """Malformed s-expression input (the only error the parser raises)."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -60,16 +64,18 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(stripped)
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int = 0):
     """Read one datum; returns (sexpr, new_pos) where sexpr is str | list."""
     if pos >= len(tokens):
         raise ParseError("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
+        if depth >= _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise ParseError("unbalanced parentheses")
@@ -79,21 +85,48 @@ def _read(tokens: list[str], pos: int):
     return tok, pos + 1
 
 
+def _read_one(text: str, what: str):
+    """The single datum that makes up ``text``."""
+    tokens = tokenize(text)
+    sexpr, pos = _read(tokens, 0)
+    if pos != len(tokens):
+        raise ParseError(f"trailing tokens after {what}: {tokens[pos:]}")
+    return sexpr
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal of {len(digits)} digits is too long") from None
+
+
+def _params(raw, what: str) -> tuple[str, ...]:
+    """The parameter list of a lambda: one name or a list of names."""
+    params = (raw,) if isinstance(raw, str) else tuple(raw)
+    if not all(isinstance(p, str) for p in params):
+        raise ParseError(f"{what} parameters must be plain names")
+    return params
+
+
 def _atom_to_expr(tok: str, list_names: frozenset[str]) -> Expr:
     if tok == "true":
         return Const(True)
     if tok == "false":
         return Const(False)
     if _INT_RE.match(tok):
-        return Const(int(tok))
+        return Const(_int(tok))
     m = _RAT_RE.match(tok)
     if m:
-        return Const(Fraction(int(m.group(1)), int(m.group(2))))
+        numerator, denominator = _int(m.group(1)), _int(m.group(2))
+        if denominator == 0:
+            raise ParseError(f"rational literal {tok!r} has a zero denominator")
+        return Const(Fraction(numerator, denominator))
     if _FLOAT_RE.match(tok):
         return Const(float(tok))
     m = _HOLE_RE.match(tok)
     if m:
-        return Hole(int(m.group(1)))
+        return Hole(_int(m.group(1)))
     if tok in list_names:
         return ListVar(tok)
     return Var(tok)
@@ -108,11 +141,7 @@ def _to_expr(sexpr, list_names: frozenset[str]) -> Expr:
     if head == "lambda":
         if len(sexpr) != 3:
             raise ParseError("lambda needs (lambda (params) body)")
-        raw_params = sexpr[1]
-        if isinstance(raw_params, str):
-            params = (raw_params,)
-        else:
-            params = tuple(raw_params)
+        params = _params(sexpr[1], "lambda")
         body = _to_expr(sexpr[2], list_names - frozenset(params))
         return Lambda(params, body)
     if head == "if":
@@ -151,7 +180,7 @@ def _to_expr(sexpr, list_names: frozenset[str]) -> Expr:
         index_tok = sexpr[2]
         if not (isinstance(index_tok, str) and _INT_RE.match(index_tok)):
             raise ParseError("proj index must be an integer literal")
-        return Proj(_to_expr(sexpr[1], list_names), int(index_tok))
+        return Proj(_to_expr(sexpr[1], list_names), _int(index_tok))
     # General application: builtin name or lambda expression in head position.
     args = tuple(_to_expr(s, list_names) for s in sexpr[1:])
     if isinstance(head, str):
@@ -183,26 +212,15 @@ def _expect(sexpr, n: int, what: str) -> None:
 
 def parse_expr(text: str, list_names: frozenset[str] = frozenset({"xs"})) -> Expr:
     """Parse a single expression; names in ``list_names`` become ``ListVar``."""
-    tokens = tokenize(text)
-    sexpr, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after expression: {tokens[pos:]}")
-    return _to_expr(sexpr, list_names)
+    return _to_expr(_read_one(text, "expression"), list_names)
 
 
 def parse_program(text: str) -> Program:
     """Parse an offline program ``(lambda (xs extra...) body)``."""
-    tokens = tokenize(text)
-    sexpr, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after program: {tokens[pos:]}")
-    if not (isinstance(sexpr, list) and sexpr and sexpr[0] == "lambda"):
-        raise ParseError("a program must be a top-level (lambda ...) form")
-    raw_params = sexpr[1]
-    if isinstance(raw_params, str):
-        params = [raw_params]
-    else:
-        params = list(raw_params)
+    sexpr = _read_one(text, "program")
+    if not (isinstance(sexpr, list) and len(sexpr) == 3 and sexpr[0] == "lambda"):
+        raise ParseError("a program must be a top-level (lambda (xs extra...) body) form")
+    params = _params(sexpr[1], "program")
     if not params:
         raise ParseError("program needs at least the list parameter")
     list_param, *extra = params
@@ -243,10 +261,7 @@ def parse_online_program(text: str) -> OnlineProgram:
     * outputs are genuinely *online* (no list combinators, list variables,
       ``snoc`` or holes — :func:`repro.ir.traversal.validate_online_expr`).
     """
-    tokens = tokenize(text)
-    sexpr, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError(f"trailing tokens after online program: {tokens[pos:]}")
+    sexpr = _read_one(text, "online program")
     if not (isinstance(sexpr, list) and sexpr and sexpr[0] == "online"):
         raise ParseError("an online program must be a top-level (online ...) form")
     sections: dict[str, list] = {}

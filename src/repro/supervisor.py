@@ -1,11 +1,9 @@
 """Generic process supervision with hard wall-clock deadlines.
 
-One spawn/reap core, three tenants: the *bench-level* parallelism of
-:mod:`repro.evaluation.parallel` (one process per (solver, benchmark) cell),
-the *hole-level* parallelism of :mod:`repro.core.parallel_synthesize`
-(one process per sketch-hole sub-task), and the *shard workers* of
-:mod:`repro.serve` (long-lived, restartable — see
-:class:`ServiceSupervisor`).  All need exactly the same core — spawn
+One spawn/reap core, two tenants: the *bench-level* parallelism of
+:mod:`repro.evaluation.parallel` (one process per (solver, benchmark) cell)
+and the *shard workers* of :mod:`repro.serve` (long-lived, restartable —
+see :class:`ServiceSupervisor`).  Both need exactly the same core — spawn
 children, reap results from pipes, and SIGKILL anything that outlives its
 deadline — so that core lives here, free of any domain knowledge.
 
@@ -16,12 +14,7 @@ Contract:
   :class:`JobResult` per job **in completion order**, each tagged ``ok`` /
   ``error`` / ``timeout`` / ``crashed``;
 * no result arrives later than ``timeout_s + kill_grace_s`` after its job
-  started (the kill is a SIGKILL, not a poll), and an optional absolute
-  ``deadline`` additionally caps every job — the knob that lets a caller
-  bound a whole *family* of jobs by one outer budget;
-* :meth:`ProcessSupervisor.cancel` withdraws jobs between yields (pending
-  jobs are dropped, active ones killed) — the mechanism behind
-  first-accepted-candidate-wins search portfolios.
+  started (the kill is a SIGKILL, not a poll).
 
 The supervisor sleeps until ``min(next deadline, next pipe event)`` — it
 does **not** poll on a fixed tick, so a pool of workers that are all
@@ -29,10 +22,8 @@ minutes from their deadlines costs zero supervisor wake-ups.
 
 Workers are forked where available (Linux; payloads reach the child by
 inheritance) and spawned elsewhere, in which case ``fn``/``args`` must be
-picklable.  Children are daemonic by default so a dying supervisor cannot
-leak runaway processes; pass ``daemon=False`` when jobs themselves need to
-spawn children (multiprocessing forbids daemonic processes from having
-children of their own).
+picklable.  Batch workers are daemonic, so a dying supervisor cannot leak
+runaway processes.
 """
 
 from __future__ import annotations
@@ -81,9 +72,9 @@ def _arm_parent_death_signal() -> None:
     """Ask the kernel to SIGKILL this child if its parent dies (Linux).
 
     SIGKILL of a supervisor bypasses multiprocessing's daemon cleanup, so
-    without this a killed bench worker would orphan its hole-worker
-    grandchildren, which would keep burning CPU until their cooperative
-    timeouts fired.  Best-effort: a no-op on platforms without prctl.
+    without this a killed supervisor would orphan its workers, which would
+    keep burning CPU until their cooperative timeouts fired.  Best-effort:
+    a no-op on platforms without prctl.
     """
     try:
         import ctypes
@@ -118,61 +109,26 @@ def _child_entry(conn, fn, args) -> None:
 class ProcessSupervisor:
     """Run jobs across at most ``workers`` concurrent child processes."""
 
-    def __init__(
-        self,
-        workers: int,
-        kill_grace_s: float = KILL_GRACE_S,
-        daemon: bool = True,
-    ) -> None:
+    def __init__(self, workers: int, kill_grace_s: float = KILL_GRACE_S) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.kill_grace_s = kill_grace_s
-        self.daemon = daemon
         self._ctx = _mp_context()
         self._pending: list[Job] = []
         self._active: dict = {}  # sentinel -> (proc, conn, job, started, deadline)
 
-    # -- cancellation ------------------------------------------------------
-
-    def cancel(self, predicate: Callable[[Any], bool]) -> int:
-        """Withdraw every job whose ``key`` satisfies ``predicate``.
-
-        Pending jobs are dropped, active ones killed; withdrawn jobs yield
-        no result.  Only meaningful between ``run()`` yields (the supervisor
-        is single-threaded).  Returns the number of jobs withdrawn.
-        """
-        keep = [job for job in self._pending if not predicate(job.key)]
-        withdrawn = len(self._pending) - len(keep)
-        self._pending = keep
-        doomed = [
-            sentinel for sentinel, (_, _, job, _, _) in self._active.items() if predicate(job.key)
-        ]
-        for sentinel in doomed:
-            proc, conn, _, _, _ = self._active.pop(sentinel)
-            self._kill(proc, conn)
-            withdrawn += 1
-        return withdrawn
-
     # -- the supervision loop ----------------------------------------------
 
-    def run(self, jobs: list[Job], deadline: float | None = None) -> Iterator[JobResult]:
-        """Execute ``jobs``; yield a :class:`JobResult` per surviving job in
-        completion order.
-
-        ``deadline`` (a ``time.monotonic()`` instant) additionally caps
-        every job's kill time at ``deadline + kill_grace_s``, bounding the
-        whole batch by one outer budget regardless of per-job budgets.
-        """
+    def run(self, jobs: list[Job]) -> Iterator[JobResult]:
+        """Execute ``jobs``; yield a :class:`JobResult` per job in
+        completion order."""
         # pop() preserves submission order
         self._pending = list(reversed(jobs))
         self._active = {}
         try:
             while self._pending or self._active:
-                self._spawn_up_to_capacity(deadline)
-                if not self._active:
-                    continue  # everything just got cancelled
-
+                self._spawn_up_to_capacity()
                 now = time.monotonic()
                 next_deadline = min(e[4] for e in self._active.values())
                 # Sleep until something completes or the nearest deadline —
@@ -183,12 +139,7 @@ class ProcessSupervisor:
                 )
 
                 for sentinel in ready:
-                    # The consumer may cancel() between yields, removing
-                    # sentinels this ready-list still mentions.
-                    entry = self._active.pop(sentinel, None)
-                    if entry is None:
-                        continue
-                    proc, conn, job, started, _ = entry
+                    proc, conn, job, started, _ = self._active.pop(sentinel)
                     yield self._reap(proc, conn, job, started)
 
                 now = time.monotonic()
@@ -210,40 +161,26 @@ class ProcessSupervisor:
                     yield result
         finally:
             for proc, conn, _, _, _ in self._active.values():
-                self._kill(proc, conn)
+                _kill_quietly(proc, conn)
             self._active = {}
             self._pending = []
 
     # -- internals ---------------------------------------------------------
 
-    def _spawn_up_to_capacity(self, deadline: float | None) -> None:
+    def _spawn_up_to_capacity(self) -> None:
         while self._pending and len(self._active) < self.workers:
             job = self._pending.pop()
             parent_conn, child_conn = self._ctx.Pipe(duplex=False)
             proc = self._ctx.Process(
                 target=_child_entry,
                 args=(child_conn, job.fn, job.args),
-                daemon=self.daemon,
+                daemon=True,
             )
             started = time.monotonic()
             proc.start()
             child_conn.close()  # child owns its end now
             job_deadline = started + job.timeout_s + self.kill_grace_s
-            if deadline is not None:
-                job_deadline = min(job_deadline, deadline + self.kill_grace_s)
-            self._active[proc.sentinel] = (
-                proc,
-                parent_conn,
-                job,
-                started,
-                job_deadline,
-            )
-
-    @staticmethod
-    def _kill(proc, conn) -> None:
-        proc.kill()
-        proc.join()
-        conn.close()
+            self._active[proc.sentinel] = (proc, parent_conn, job, started, job_deadline)
 
     def _reap(self, proc, conn, job: Job, started: float) -> JobResult:
         """Collect the payload from a finished worker (or record a crash)."""
@@ -320,8 +257,7 @@ class ServiceSupervisor:
       (:meth:`restarts`).
     * A service's optional wall-clock budget (``timeout_s``) is an
       *absolute* deadline anchored at the **first** start: restarting does
-      not buy a crashing service more time, exactly like the outer
-      ``deadline`` of batch runs.
+      not buy a crashing service more time.
     * :meth:`poll` waits until a service finishes — payload arrives, the
       process dies, or a deadline expires — and returns the keys that just
       reached a terminal :meth:`result` (``ok`` / ``error`` / ``crashed``

@@ -1,14 +1,17 @@
 """Tests for the fault-injection layer (``repro.faults``), the hardened
 crash-restore machinery (checkpoint generations, hung-worker liveness,
-restart budget, poison quarantine), and the ``repro chaos`` harness."""
+restart budget, poison quarantine), the ``repro chaos`` harness, and the
+provenance block (``bench_metadata``) its reports carry."""
 
 import json
+import subprocess
 
 import pytest
 
 from repro.cli import main
 from repro.core.scheme import OnlineScheme
-from repro.evaluation import chaos
+from repro.evaluation import bench_metadata, chaos
+from repro.evaluation.export import git_commit
 from repro.faults import (
     DEFAULT_STALL_SECS,
     POISON,
@@ -421,3 +424,22 @@ class TestChaosHarness:
         assert main(["chaos", "--faults", "bogus"]) == 2
         assert main(["chaos", "--trials", "0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestMetadata:
+    def test_bench_metadata_shape(self):
+        meta = bench_metadata()
+        assert set(meta) == {"git_commit", "timestamp", "clock"}
+        assert meta["timestamp"].endswith("Z")
+        assert "monotonic" in meta["clock"]
+
+    def test_git_commit_matches_rev_parse_in_checkout(self):
+        expected = subprocess.run(
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True
+        )
+        if expected.returncode != 0:
+            pytest.skip("not running inside a git checkout")
+        assert git_commit() == expected.stdout.strip()
+
+    def test_git_commit_unknown_outside_checkout(self, tmp_path):
+        assert git_commit(cwd=str(tmp_path)) == "unknown"

@@ -178,3 +178,23 @@ class TestAblationConfigs:
         config = SynthesisConfig(timeout_s=6, use_symbolic=False)
         report = synthesize(bench.program, config, "variance")
         assert not report.success
+
+    def test_enumeration_cap_failure_is_deterministic(self):
+        """The kept-behaviour memory cap is a pure function of the search,
+        not of the clock: the failure names its class, and a rerun fails
+        the same way after the same holes."""
+        bench = get_benchmark("variance")
+        reports = [
+            synthesize(
+                bench.program,
+                SynthesisConfig(timeout_s=60, use_symbolic=False, enumeration_max_kept=5),
+                "variance",
+            )
+            for _ in range(2)
+        ]
+        assert not reports[0].success
+        assert reports[0].failure_reason.startswith("EnumerationCapExceeded")
+        outcomes = [
+            (r.failure_reason, [(h.hole_id, h.method) for h in r.holes]) for r in reports
+        ]
+        assert outcomes[0] == outcomes[1]

@@ -81,6 +81,25 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_program("(add 1 2)")
 
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_program, "(lambda)"),  # no parameters, no body
+            (parse_program, "(lambda (xs))"),  # no body
+            (parse_program, "(lambda ((a) b) 1)"),  # a parameter that is a list
+            (parse_program, "(lambda (xs) 1 2)"),  # a second body
+            (parse_expr, "(lambda ((a) b) 1)"),
+            (parse_expr, "1/0"),  # zero denominator
+            (parse_expr, "(proj (tuple 1 2) " + "9" * 5000 + ")"),  # int too long
+            (parse_expr, "(neg " * 300 + "1" + ")" * 300),  # nested too deep
+        ],
+        ids=["lambda", "no-body", "list-param", "two-bodies", "expr-list-param",
+             "zero-denominator", "long-int", "deep-nesting"],
+    )
+    def test_malformed_input_raises_parse_error(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
 
 def sample_programs():
     avg = div(fold_sum(XS), length(XS))

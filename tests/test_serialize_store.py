@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SynthesisConfig
 from repro.core.scheme import OnlineScheme
@@ -16,7 +18,7 @@ from repro.core.serialize import (
 )
 from repro.ir.dsl import add, div, mul
 from repro.ir.nodes import OnlineProgram
-from repro.ir.parser import ParseError, parse_online_program
+from repro.ir.parser import ParseError, parse_expr, parse_online_program, parse_program
 from repro.ir.pretty import online_program_to_sexpr
 from repro.store import SchemeStore, scheme_key
 from repro.suites import all_benchmarks, get_benchmark
@@ -74,6 +76,8 @@ class TestValueCodec:
             ["int", 3],
             ["int", "x"],
             ["rat", "1", "0"],  # zero denominator
+            ["int", "9" * 5000],  # longer than int() converts
+            ["rat", "1", "9" * 5000],
             ["rat", "1"],
             ["float", "spam"],
             ["tuple", "nope"],
@@ -114,6 +118,7 @@ class TestOnlineProgramSexpr:
             "(online (state y) (elem x) (outputs (foldl add 0 xs)))",  # offline
             "(online (state y) (elem x) (weird) (outputs y))",  # unknown section
             "(online (state y) (elem x) (outputs y)) trailing",
+            "(online (state y) (elem x) (outputs (div y 1/0)))",  # zero denominator
         ],
     )
     def test_strict_validation(self, text):
@@ -174,9 +179,74 @@ class TestSchemeRoundTrip:
         with pytest.raises(SchemeFormatError):
             loads_scheme("not json {")
 
+    def test_loads_rejects_json_nested_too_deeply(self):
+        with pytest.raises(SchemeFormatError, match="nested too deeply"):
+            loads_scheme("[" * 100_000 + "]" * 100_000)
+
     def test_from_dict_rejects_non_dict(self):
         with pytest.raises(SchemeFormatError):
             OnlineScheme.from_dict(["nope"])
+
+    def test_loads_rejects_a_zero_denominator(self):
+        data = mean_scheme().to_dict()
+        data["program"] = data["program"].replace("1", "1/0", 1)
+        with pytest.raises(SchemeFormatError, match="zero denominator"):
+            OnlineScheme.loads(json.dumps(data))
+
+
+#: Tokens of the offline and online grammars, plus malformed literals.
+_TOKENS = (
+    "(", ")", "(", ")", "lambda", "online", "state", "elem", "extra", "outputs",
+    "let", "if", "map", "filter", "foldl", "tuple", "proj", "snoc", "add", "div",
+    "neg", "xs", "x", "y", "0", "-1", "2/3", "1/0", "0.5", "true", "?hole0",
+)
+_GROUND_TRUTHS = [b.ground_truth.dumps() for b in all_benchmarks() if b.ground_truth]
+
+
+def _mutate(text: str, edits) -> str:
+    for where, op, char in edits:
+        i = int(where * len(text))
+        if op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + char + text[i:]
+        else:
+            text = text[:i] + char + text[i + 1:]
+    return text
+
+
+class TestMalformedInputProperty:
+    """Outside input — ``repro synthesize --sexpr``, ``OnlineScheme.loads``
+    — fails only with the documented error, never an internal one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKENS) | st.text(max_size=3), max_size=40))
+    def test_parsers_raise_only_parse_error(self, tokens):
+        text = " ".join(tokens)
+        for parse in (parse_program, parse_expr, parse_online_program):
+            try:
+                parse(text)
+            except ParseError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_GROUND_TRUTHS),
+        st.lists(
+            st.tuples(
+                st.floats(0, 1, exclude_max=True),
+                st.sampled_from(("delete", "insert", "replace")),
+                st.sampled_from(list('()[]{}",: -/0129xyz') + ["1/0", "(neg", "lambda"]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_loads_raises_only_scheme_format_error(self, dumped, edits):
+        try:
+            OnlineScheme.loads(_mutate(dumped, edits))
+        except SchemeFormatError:
+            pass
 
 
 class TestSchemeStore:

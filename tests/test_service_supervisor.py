@@ -1,13 +1,16 @@
-"""Tests for :class:`repro.supervisor.ServiceSupervisor` — the long-lived
-restartable-service layer under ``repro.serve``."""
+"""Tests for :mod:`repro.supervisor`: :class:`ServiceSupervisor`, the
+long-lived restartable-service layer under ``repro.serve``, and
+:class:`ProcessSupervisor`, the batch layer under the parallel suite
+runner."""
 
 import os
 import signal
 import time
+from fractions import Fraction
 
 import pytest
 
-from repro.supervisor import ServiceSupervisor
+from repro.supervisor import Job, ProcessSupervisor, ServiceSupervisor
 
 
 def _echo(value):
@@ -179,3 +182,73 @@ class TestDeadline:
             result = _wait_for(sup, "svc")
         assert result.kind == "ok"
         assert result.value == "done"
+
+
+# -- the batch supervisor under the parallel suite runner -------------------
+# Payload functions are module-level so they pickle under spawn contexts.
+
+
+def _payload_return(value):
+    return value
+
+
+def _payload_raise():
+    raise RuntimeError("boom")
+
+
+def _payload_exit():
+    os._exit(3)
+
+
+def _payload_sleep(seconds):
+    time.sleep(seconds)
+    return "done"
+
+
+class TestProcessSupervisor:
+    def test_ok_result(self):
+        sup = ProcessSupervisor(workers=1)
+        [result] = list(
+            sup.run([Job("k", _payload_return, (Fraction(1, 3),), 10.0)])
+        )
+        assert (result.kind, result.value) == ("ok", Fraction(1, 3))
+        assert result.job.key == "k"
+
+    def test_error_result(self):
+        sup = ProcessSupervisor(workers=1)
+        [result] = list(sup.run([Job("k", _payload_raise, (), 10.0)]))
+        assert result.kind == "error"
+        assert "RuntimeError: boom" in result.message
+
+    def test_crash_result(self):
+        sup = ProcessSupervisor(workers=1)
+        [result] = list(sup.run([Job("k", _payload_exit, (), 10.0)]))
+        assert (result.kind, result.exitcode) == ("crashed", 3)
+
+    def test_timeout_kills_at_deadline(self):
+        sup = ProcessSupervisor(workers=1, kill_grace_s=0.1)
+        start = time.monotonic()
+        [result] = list(sup.run([Job("k", _payload_sleep, (30.0,), 0.4)]))
+        assert result.kind == "timeout"
+        assert time.monotonic() - start < 5.0
+
+    def test_wait_is_deadline_driven_not_polling(self, monkeypatch):
+        """The supervisor must sleep until min(deadline, event) — the old
+        100 ms wait cap busy-woke it ~10x per idle second."""
+        import multiprocessing.connection as mpc
+
+        calls = []
+        real_wait = mpc.wait
+
+        def counting_wait(handles, timeout=None):
+            calls.append(timeout)
+            return real_wait(handles, timeout=timeout)
+
+        monkeypatch.setattr(mpc, "wait", counting_wait)
+        sup = ProcessSupervisor(workers=1)
+        [result] = list(sup.run([Job("k", _payload_sleep, (1.2,), 30.0)]))
+        assert result.kind == "ok"
+        # One wait spanning the whole sleep (plus scheduling slack), not a
+        # dozen 100 ms naps.
+        assert len(calls) <= 4
+        assert max(calls) > 5.0  # the wait actually extended to the deadline
